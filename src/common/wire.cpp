@@ -1,6 +1,10 @@
 #include "common/wire.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 
 namespace slacksched::wire {
 
@@ -18,7 +22,41 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+/// Runs `op(done)` (one syscall moving bytes `done`.. of `n`) until all
+/// `n` moved or it reports end (0); retries EINTR. Bytes moved, or -1.
+template <typename Op>
+ssize_t transfer(std::size_t n, Op op) {
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t k = op(done);
+    if (k < 0 && errno == EINTR) continue;
+    if (k < 0) return -1;
+    if (k == 0) break;
+    done += static_cast<std::size_t>(k);
+  }
+  return static_cast<ssize_t>(done);
+}
+
 }  // namespace
+
+bool write_all(int fd, const char* data, std::size_t n) {
+  return transfer(n, [&](std::size_t done) {
+           return ::write(fd, data + done, n - done);
+         }) == static_cast<ssize_t>(n);
+}
+
+bool send_all(int fd, const char* data, std::size_t n) {
+  return transfer(n, [&](std::size_t done) {
+           return ::send(fd, data + done, n - done, MSG_NOSIGNAL);
+         }) == static_cast<ssize_t>(n);
+}
+
+ssize_t pread_all(int fd, char* data, std::size_t n, off_t offset) {
+  return transfer(n, [&](std::size_t done) {
+    return ::pread(fd, data + done, n - done,
+                   offset + static_cast<off_t>(done));
+  });
+}
 
 std::uint32_t crc32_ieee(const void* data, std::size_t n) {
   static const std::array<std::uint32_t, 256> table = make_crc_table();

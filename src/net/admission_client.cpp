@@ -13,7 +13,8 @@
 #include <cstring>
 #include <thread>
 
-#include "common/rng.hpp"
+#include "common/backoff.hpp"
+#include "common/wire.hpp"
 
 namespace slacksched::net {
 
@@ -78,19 +79,9 @@ int connect_with_timeout(const std::string& host, std::uint16_t port,
 
 std::chrono::milliseconds RetryPolicy::delay(
     int attempt, std::uint32_t server_hint_ms) const {
-  double ms = static_cast<double>(initial_delay.count());
-  for (int i = 1; i < attempt; ++i) {
-    ms = std::min(ms * factor, static_cast<double>(max_delay.count()));
-  }
-  // Deterministic per-attempt jitter into [0.5, 1.0] of the delay: equal
-  // seeds replay equal schedules, concurrent clients with distinct seeds
-  // decorrelate their retry bursts.
-  SplitMix64 mix(jitter_seed + static_cast<std::uint64_t>(attempt));
-  const double scale =
-      0.5 + 0.5 * static_cast<double>(mix.next() >> 11) * 0x1p-53;
-  ms *= scale;
-  const auto jittered = std::chrono::milliseconds(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(ms)));
+  const auto jittered =
+      backoff_delay(initial_delay, factor, max_delay, attempt,
+                    jitter_seed + static_cast<std::uint64_t>(attempt));
   // Never undercut the server's own hint — it knows its recovery time.
   return std::max(jittered,
                   std::chrono::milliseconds(server_hint_ms));
@@ -105,15 +96,7 @@ AdmissionClient::~AdmissionClient() {
 }
 
 void AdmissionClient::send_all(const std::vector<char>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  if (!wire::send_all(fd_, bytes.data(), bytes.size())) {
     throw NetError(std::string("send: ") + std::strerror(errno));
   }
 }
@@ -292,15 +275,7 @@ std::string http_get_metrics(const std::string& host, std::uint16_t port) {
       connect_with_timeout(host, port, std::chrono::milliseconds(5000));
   const std::string request = "GET /metrics HTTP/1.0\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent,
-                             request.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  if (!wire::send_all(fd, request.data(), request.size())) {
     const int err = errno;
     ::close(fd);
     throw NetError(std::string("send: ") + std::strerror(err));

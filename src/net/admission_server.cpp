@@ -377,12 +377,14 @@ void AdmissionServer::event_loop(EventLoop& loop) {
       if (tag == kEventFdTag) {
         std::uint64_t signal = 0;
         (void)::read(loop.event_fd, &signal, sizeof(signal));
-        std::vector<int> adopted;
-        {
-          std::lock_guard lock(loop.handoff_mutex);
-          adopted.swap(loop.handoff);
+        if (!reuseport_ && loops_.size() > 1) {  // handoff mode only
+          std::vector<int> adopted;
+          {
+            std::lock_guard lock(loop.handoff_mutex);
+            adopted.swap(loop.handoff);
+          }
+          for (const int fd : adopted) adopt_connection(loop, fd);
         }
-        for (const int fd : adopted) adopt_connection(loop, fd);
         drain_outbox(loop);
         // Another loop's DRAIN quiesced the gateway: no decision can
         // arrive for this loop's leftovers either, so answer them now.

@@ -4,15 +4,16 @@
 #include <cstring>
 #include <type_traits>
 
+#include "common/framing.hpp"
 #include "common/wire.hpp"
 
 namespace slacksched::net {
 
 namespace {
 
-using wire::crc32_ieee;
+using framing::end_frame;
+using framing::parse_fields;
 using wire::get;
-using wire::patch;
 using wire::put;
 
 /// Per-job body inside SUBMIT and SUBMIT_BATCH frames.
@@ -27,24 +28,16 @@ constexpr bool kJobMatchesWire =
     offsetof(Job, release) == 8 && offsetof(Job, proc) == 16 &&
     offsetof(Job, deadline) == 24;
 
-/// Opens a frame: writes the header with payload_len/crc zeroed and
-/// returns the offset where the payload begins.
 std::size_t begin_frame(std::vector<char>& out, FrameType type) {
-  put<std::uint8_t>(out, kProtocolVersion);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put<std::uint16_t>(out, 0);  // reserved
-  put<std::uint32_t>(out, 0);  // payload_len, patched by end_frame
-  put<std::uint32_t>(out, 0);  // crc, patched by end_frame
-  return out.size();
+  return framing::begin_frame(out, kProtocolVersion,
+                              static_cast<std::uint8_t>(type), 0);
 }
 
-/// Closes the frame opened at `payload_start`: patches length and CRC.
-void end_frame(std::vector<char>& out, std::size_t payload_start) {
-  const std::size_t len = out.size() - payload_start;
-  patch<std::uint32_t>(out, payload_start - 8,
-                       static_cast<std::uint32_t>(len));
-  patch<std::uint32_t>(out, payload_start - 4,
-                       crc32_ieee(out.data() + payload_start, len));
+/// One complete frame whose payload is the fixed-width `fields`.
+template <typename... Fields>
+void encode(std::vector<char>& out, FrameType type, const Fields&... fields) {
+  framing::encode_frame(out, kProtocolVersion,
+                        static_cast<std::uint8_t>(type), 0, fields...);
 }
 
 void put_job(std::vector<char>& out, const Job& job) {
@@ -63,26 +56,11 @@ Job get_job(const char** cursor) {
   return job;
 }
 
-/// Validates a fixed-size payload: at least `need` bytes (longer is legal
-/// — a newer peer may have appended fields we do not read).
-bool check_size(const Frame& frame, std::size_t need, const char* what,
-                std::string* error) {
-  if (frame.payload.size() >= need) return true;
-  if (error != nullptr) {
-    *error = std::string(what) + " payload too short: " +
-             std::to_string(frame.payload.size()) + " < " +
-             std::to_string(need) + " bytes";
-  }
-  return false;
-}
-
 }  // namespace
 
 void encode_submit(std::vector<char>& out, const SubmitMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kSubmit);
-  put<std::uint64_t>(out, msg.request_id);
-  put_job(out, msg.job);
-  end_frame(out, start);
+  encode(out, FrameType::kSubmit, msg.request_id, msg.job.id, msg.job.release,
+         msg.job.proc, msg.job.deadline);
 }
 
 void encode_submit_batch(std::vector<char>& out,
@@ -96,51 +74,28 @@ void encode_submit_batch(std::vector<char>& out,
 }
 
 void encode_decision(std::vector<char>& out, const DecisionMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kDecision);
-  put<std::uint64_t>(out, msg.request_id);
-  put<std::int64_t>(out, msg.job_id);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.outcome));
-  put<std::int32_t>(out, msg.machine);
-  put<double>(out, msg.start);
-  end_frame(out, start);
+  encode(out, FrameType::kDecision, msg.request_id, msg.job_id,
+         static_cast<std::uint8_t>(msg.outcome), msg.machine, msg.start);
 }
 
 void encode_reject(std::vector<char>& out, const RejectMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kReject);
-  put<std::uint64_t>(out, msg.request_id);
-  put<std::int64_t>(out, msg.job_id);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.outcome));
-  put<std::uint32_t>(out, msg.retry_after_ms);
-  end_frame(out, start);
+  encode(out, FrameType::kReject, msg.request_id, msg.job_id,
+         static_cast<std::uint8_t>(msg.outcome), msg.retry_after_ms);
 }
 
-void encode_drain(std::vector<char>& out) {
-  const std::size_t start = begin_frame(out, FrameType::kDrain);
-  end_frame(out, start);
-}
+void encode_drain(std::vector<char>& out) { encode(out, FrameType::kDrain); }
 
 void encode_drained(std::vector<char>& out, const DrainedMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kDrained);
-  put<std::uint64_t>(out, msg.submitted);
-  put<std::uint64_t>(out, msg.accepted);
-  put<std::uint64_t>(out, msg.rejected);
-  put<double>(out, msg.accepted_volume);
-  put<double>(out, msg.rejected_volume);
-  put<double>(out, msg.makespan);
-  put<std::uint8_t>(out, msg.clean);
-  end_frame(out, start);
+  encode(out, FrameType::kDrained, msg.submitted, msg.accepted, msg.rejected,
+         msg.accepted_volume, msg.rejected_volume, msg.makespan, msg.clean);
 }
 
 void encode_ping(std::vector<char>& out, std::uint64_t token) {
-  const std::size_t start = begin_frame(out, FrameType::kPing);
-  put<std::uint64_t>(out, token);
-  end_frame(out, start);
+  encode(out, FrameType::kPing, token);
 }
 
 void encode_pong(std::vector<char>& out, std::uint64_t token) {
-  const std::size_t start = begin_frame(out, FrameType::kPong);
-  put<std::uint64_t>(out, token);
-  end_frame(out, start);
+  encode(out, FrameType::kPong, token);
 }
 
 void encode_error(std::vector<char>& out, std::string_view message) {
@@ -150,11 +105,10 @@ void encode_error(std::vector<char>& out, std::string_view message) {
 }
 
 bool parse_submit(const Frame& frame, SubmitMsg& out, std::string* error) {
-  if (!check_size(frame, 8 + kJobBytes, "SUBMIT", error)) return false;
-  const char* cursor = frame.payload.data();
-  out.request_id = get<std::uint64_t>(&cursor);
-  out.job = get_job(&cursor);
-  return true;
+  out.job = Job{};
+  return parse_fields(frame.payload, "SUBMIT", error, out.request_id,
+                      out.job.id, out.job.release, out.job.proc,
+                      out.job.deadline);
 }
 
 bool parse_submit_batch(const Frame& frame, std::uint64_t& base_request_id,
@@ -165,10 +119,12 @@ bool parse_submit_batch(const Frame& frame, std::uint64_t& base_request_id,
 bool parse_submit_batch_into(const Frame& frame,
                              std::uint64_t& base_request_id,
                              std::vector<Job>& jobs, std::string* error) {
-  if (!check_size(frame, 12, "SUBMIT_BATCH", error)) return false;
-  const char* cursor = frame.payload.data();
-  base_request_id = get<std::uint64_t>(&cursor);
-  const std::uint32_t count = get<std::uint32_t>(&cursor);
+  std::uint32_t count = 0;
+  if (!parse_fields(frame.payload, "SUBMIT_BATCH", error, base_request_id,
+                    count)) {
+    return false;
+  }
+  const char* cursor = frame.payload.data() + 12;
   const std::size_t need = 12 + static_cast<std::size_t>(count) * kJobBytes;
   if (frame.payload.size() < need) {
     if (error != nullptr) {
@@ -192,13 +148,11 @@ bool parse_submit_batch_into(const Frame& frame,
 
 bool parse_decision(const Frame& frame, DecisionMsg& out,
                     std::string* error) {
-  if (!check_size(frame, 29, "DECISION", error)) return false;
-  const char* cursor = frame.payload.data();
-  out.request_id = get<std::uint64_t>(&cursor);
-  out.job_id = get<std::int64_t>(&cursor);
-  const std::uint8_t raw = get<std::uint8_t>(&cursor);
-  out.machine = get<std::int32_t>(&cursor);
-  out.start = get<double>(&cursor);
+  std::uint8_t raw = 0;
+  if (!parse_fields(frame.payload, "DECISION", error, out.request_id,
+                    out.job_id, raw, out.machine, out.start)) {
+    return false;
+  }
   if (!outcome_valid(raw) ||
       !outcome_is_decision(static_cast<Outcome>(raw))) {
     if (error != nullptr) {
@@ -212,12 +166,11 @@ bool parse_decision(const Frame& frame, DecisionMsg& out,
 }
 
 bool parse_reject(const Frame& frame, RejectMsg& out, std::string* error) {
-  if (!check_size(frame, 21, "REJECT", error)) return false;
-  const char* cursor = frame.payload.data();
-  out.request_id = get<std::uint64_t>(&cursor);
-  out.job_id = get<std::int64_t>(&cursor);
-  const std::uint8_t raw = get<std::uint8_t>(&cursor);
-  out.retry_after_ms = get<std::uint32_t>(&cursor);
+  std::uint8_t raw = 0;
+  if (!parse_fields(frame.payload, "REJECT", error, out.request_id,
+                    out.job_id, raw, out.retry_after_ms)) {
+    return false;
+  }
   if (!outcome_valid(raw) || !outcome_is_shed(static_cast<Outcome>(raw))) {
     if (error != nullptr) {
       *error = "REJECT carries non-shed outcome code " + std::to_string(raw);
@@ -229,74 +182,18 @@ bool parse_reject(const Frame& frame, RejectMsg& out, std::string* error) {
 }
 
 bool parse_drained(const Frame& frame, DrainedMsg& out, std::string* error) {
-  if (!check_size(frame, 49, "DRAINED", error)) return false;
-  const char* cursor = frame.payload.data();
-  out.submitted = get<std::uint64_t>(&cursor);
-  out.accepted = get<std::uint64_t>(&cursor);
-  out.rejected = get<std::uint64_t>(&cursor);
-  out.accepted_volume = get<double>(&cursor);
-  out.rejected_volume = get<double>(&cursor);
-  out.makespan = get<double>(&cursor);
-  out.clean = get<std::uint8_t>(&cursor);
-  return true;
+  return parse_fields(frame.payload, "DRAINED", error, out.submitted,
+                      out.accepted, out.rejected, out.accepted_volume,
+                      out.rejected_volume, out.makespan, out.clean);
 }
 
 bool parse_token(const Frame& frame, std::uint64_t& token,
                  std::string* error) {
-  if (!check_size(frame, 8, "PING/PONG", error)) return false;
-  const char* cursor = frame.payload.data();
-  token = get<std::uint64_t>(&cursor);
-  return true;
+  return parse_fields(frame.payload, "PING/PONG", error, token);
 }
 
 std::string parse_error_message(const Frame& frame) {
   return std::string(frame.payload.begin(), frame.payload.end());
-}
-
-void FrameDecoder::feed(const char* data, std::size_t n) {
-  if (!error_.empty()) return;  // sticky: the stream is already lost
-  // Compact the consumed prefix before growing; amortized O(1) per byte.
-  if (pos_ > 0 && (pos_ == buffer_.size() || pos_ >= 4096)) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + n);
-}
-
-FrameDecoder::Status FrameDecoder::next(Frame& out) {
-  if (!error_.empty()) return Status::kError;
-  if (buffered() < kFrameHeaderSize) return Status::kNeedMore;
-  const char* cursor = buffer_.data() + pos_;
-  const std::uint8_t version = get<std::uint8_t>(&cursor);
-  const std::uint8_t type = get<std::uint8_t>(&cursor);
-  (void)get<std::uint16_t>(&cursor);  // reserved
-  const std::uint32_t len = get<std::uint32_t>(&cursor);
-  const std::uint32_t crc = get<std::uint32_t>(&cursor);
-  if (version != kProtocolVersion) {
-    error_ = "unsupported protocol version " + std::to_string(version) +
-             " (this build speaks " + std::to_string(kProtocolVersion) + ")";
-    return Status::kError;
-  }
-  if (!frame_type_valid(type)) {
-    error_ = "unknown frame type " + std::to_string(type);
-    return Status::kError;
-  }
-  if (len > kMaxPayload) {
-    error_ = "payload length " + std::to_string(len) +
-             " exceeds the " + std::to_string(kMaxPayload) + "-byte cap";
-    return Status::kError;
-  }
-  if (buffered() < kFrameHeaderSize + len) return Status::kNeedMore;
-  if (crc32_ieee(cursor, len) != crc) {
-    error_ = "payload checksum mismatch on frame type " +
-             std::to_string(type);
-    return Status::kError;
-  }
-  out.type = static_cast<FrameType>(type);
-  out.payload.assign(cursor, cursor + len);
-  pos_ += kFrameHeaderSize + len;
-  return Status::kFrame;
 }
 
 }  // namespace slacksched::net

@@ -5,14 +5,9 @@
 /// endian fixed-width fields, IEEE CRC-32 over the payload) so one codec
 /// and one checksum cover every byte the project puts on a wire or a disk.
 ///
-/// Frame layout (header is kFrameHeaderSize = 12 bytes):
-///
-///   u8  version      kProtocolVersion (1); mismatch rejects the frame
-///   u8  type         FrameType; unknown values reject the frame
-///   u16 reserved     0 on send, ignored on receive
-///   u32 payload_len  <= kMaxPayload; bigger frames reject loudly
-///   u32 crc          CRC-32 (IEEE) of the payload bytes
-///   ... payload_len bytes of payload
+/// Frames use the shared 12-byte header of common/framing.hpp (version 1,
+/// types 1..9, payloads up to kMaxPayload); the header's u16 field is
+/// reserved: 0 on send, ignored on receive.
 ///
 /// Versioning rules (see docs/net.md): the header layout itself is frozen
 /// forever — a future version 2 keeps the 12-byte header so a version-1
@@ -38,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/framing.hpp"
 #include "job/job.hpp"
 #include "service/outcome.hpp"
 
@@ -47,7 +43,7 @@ namespace slacksched::net {
 inline constexpr std::uint8_t kProtocolVersion = 1;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
-inline constexpr std::size_t kFrameHeaderSize = 12;
+inline constexpr std::size_t kFrameHeaderSize = framing::kHeaderSize;
 
 /// Largest accepted payload. Bounds decoder memory against hostile or
 /// corrupt length fields; also caps SUBMIT_BATCH to ~32k jobs per frame.
@@ -66,10 +62,10 @@ enum class FrameType : std::uint8_t {
   kError = 9,        ///< either side: protocol violation, then close
 };
 
-/// True iff `value` is a defined FrameType wire value.
-[[nodiscard]] constexpr bool frame_type_valid(std::uint8_t value) {
-  return value >= 1 && value <= 9;
-}
+/// The admission protocol's header parameters for the shared decoder.
+inline constexpr framing::Protocol kFrameProtocol{
+    kProtocolVersion, static_cast<std::uint8_t>(FrameType::kError),
+    kMaxPayload, ""};
 
 /// Thrown by the client on connection failures, peer-reported ERROR
 /// frames, and malformed server responses.
@@ -120,6 +116,11 @@ struct DrainedMsg {
 struct Frame {
   FrameType type = FrameType::kError;
   std::vector<char> payload;
+
+  /// Takes the decoded header's type (the u16 field is reserved).
+  void adopt(const framing::Header& header) {
+    type = static_cast<FrameType>(header.type);
+  }
 };
 
 // --- encoders: append one complete frame (header + payload) to `out` ---
@@ -168,33 +169,8 @@ void encode_error(std::vector<char>& out, std::string_view message);
 /// ERROR payloads are the raw UTF-8 message (possibly empty).
 [[nodiscard]] std::string parse_error_message(const Frame& frame);
 
-/// Incremental frame decoder: feed() raw bytes as they arrive, then pull
-/// complete frames with next(). A malformed stream (bad version, unknown
-/// type, oversized length, CRC mismatch) puts the decoder into a sticky
-/// error state — framing is lost for good on a byte stream, so the only
-/// safe reaction is to report and close the connection.
-class FrameDecoder {
- public:
-  enum class Status {
-    kFrame,     ///< `out` holds the next complete frame
-    kNeedMore,  ///< no complete frame buffered; feed() more bytes
-    kError,     ///< stream corrupt; see error()
-  };
-
-  void feed(const char* data, std::size_t n);
-
-  [[nodiscard]] Status next(Frame& out);
-
-  /// Why the stream was rejected (empty unless next() returned kError).
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - pos_; }
-
- private:
-  std::vector<char> buffer_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buffer_
-  std::string error_;
-};
+/// Incremental frame decoder (common/framing.hpp): feed() raw bytes,
+/// pull frames with next(); any malformed frame is a sticky error.
+using FrameDecoder = framing::TypedDecoder<Frame, kFrameProtocol>;
 
 }  // namespace slacksched::net

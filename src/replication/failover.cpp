@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/rng.hpp"
 #include "replication/replica_server.hpp"
 #include "service/commit_log.hpp"
 
@@ -17,12 +16,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Fail-fast framing pre-check of one replica log before the real replay:
-/// header sanity + whole-record count. Returns false with `why` on a log
-/// promotion could never serve from.
-bool precheck_log(const std::string& path, std::uint64_t* records,
-                  std::string* why) {
-  *records = 0;
+/// Fail-fast pre-check of one replica log's header before the real
+/// replay. Returns false with `why` on a log promotion could never serve
+/// from; a torn record tail passes (the replay truncates it).
+bool precheck_log(const std::string& path, std::string* why) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) return true;  // fresh shard: nothing to replay
@@ -31,46 +28,15 @@ bool precheck_log(const std::string& path, std::uint64_t* records,
   }
   const off_t size = ::lseek(fd, 0, SEEK_END);
   if (size < 0) {
-    ::close(fd);
     *why = "cannot seek " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    ::close(fd);
-    return true;  // header never completed: recovers to a fresh state
-  }
-  char header[kWalHeaderBytes];
-  if (::pread(fd, header, sizeof(header), 0) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    ::close(fd);
-    *why = "cannot read header of " + path;
-    return false;
-  }
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    ::close(fd);
-    *why = path + ": not a commit log (bad magic)";
-    return false;
-  }
-  off_t at = static_cast<off_t>(kWalHeaderBytes);
-  char record[kWalRecordBytes];
-  while (at + static_cast<off_t>(kWalRecordBytes) <= size) {
-    if (::pread(fd, record, kWalRecordBytes, at) !=
-        static_cast<ssize_t>(kWalRecordBytes)) {
-      break;  // torn tail: recovery truncates it
-    }
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
-      break;  // torn tail
-    }
-    ++*records;
-    at += static_cast<off_t>(kWalRecordBytes);
-  }
+  } else if (static_cast<std::size_t>(size) >= kWalHeaderBytes) {
+    // A whole header is only read and checked. The machine count is the
+    // scheduler factory's to check, at replay.
+    *why = prepare_wal_header(fd, static_cast<std::size_t>(size),
+                              /*machines=*/0, path);
+  }  // else: header never completed, recovers to a fresh state
   ::close(fd);
-  return true;
+  return why->empty();
 }
 
 }  // namespace
@@ -106,19 +72,6 @@ void FailoverDriver::stop() {
   if (monitor_.joinable()) monitor_.join();
 }
 
-std::chrono::milliseconds FailoverDriver::probe_delay(int attempt) const {
-  double ms = static_cast<double>(config_.backoff_initial.count());
-  for (int i = 1; i < attempt; ++i) {
-    ms = std::min(ms * config_.backoff_factor,
-                  static_cast<double>(config_.backoff_max.count()));
-  }
-  SplitMix64 mix(config_.jitter_seed + static_cast<std::uint64_t>(attempt));
-  const double scale =
-      0.5 + 0.5 * static_cast<double>(mix.next() >> 11) * 0x1p-53;
-  return std::chrono::milliseconds(std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(ms * scale)));
-}
-
 void FailoverDriver::monitor_loop() {
   auto next_probe = Clock::time_point::max();
   int attempts = 0;
@@ -145,7 +98,7 @@ void FailoverDriver::monitor_loop() {
       health_.store(NodeHealth::kDegraded, std::memory_order_release);
       attempts = 1;
       probes_.store(1, std::memory_order_relaxed);
-      next_probe = now + probe_delay(attempts);
+      next_probe = now + config_.probe_delay(attempts);
     }
 
     const bool probes_exhausted =
@@ -164,7 +117,7 @@ void FailoverDriver::monitor_loop() {
       // caught by the stall check above): burn one attempt, back off.
       ++attempts;
       probes_.store(attempts, std::memory_order_relaxed);
-      next_probe = now + probe_delay(attempts);
+      next_probe = now + config_.probe_delay(attempts);
     }
   }
 }
@@ -184,9 +137,8 @@ PromotionResult promote_replica(const GatewayConfig& config,
       SLACKSCHED_FAULT_CRASH_POINT(faults, FaultSite::kFailover, s);
       const std::string path =
           config.wal_dir + "/shard-" + std::to_string(s) + ".wal";
-      std::uint64_t records = 0;
       std::string why;
-      if (!precheck_log(path, &records, &why)) {
+      if (!precheck_log(path, &why)) {
         result.error = "shard " + std::to_string(s) + ": " + why;
         return result;
       }

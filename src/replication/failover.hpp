@@ -39,6 +39,7 @@
 #include <string>
 #include <thread>
 
+#include "common/backoff.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
 
@@ -70,6 +71,14 @@ struct FailoverConfig {
   std::chrono::milliseconds backoff_max{1000};
   /// Seed of the probe-backoff jitter ([0.5, 1.0] scaling, SplitMix64).
   std::uint64_t jitter_seed = 0x5eed5eed5eed5eedULL;
+
+  /// Backoff delay before probe `attempt` (1-based): common/backoff.hpp,
+  /// jittered by the seed plus the attempt.
+  [[nodiscard]] std::chrono::milliseconds probe_delay(int attempt) const {
+    return backoff_delay(backoff_initial, backoff_factor, backoff_max,
+                         attempt,
+                         jitter_seed + static_cast<std::uint64_t>(attempt));
+  }
 };
 
 /// Watches a ReplicaServer's leader-traffic signals and fires `on_down`
@@ -110,8 +119,6 @@ class FailoverDriver {
 
  private:
   void monitor_loop();
-  /// Jittered, capped exponential delay before probe `attempt` (1-based).
-  [[nodiscard]] std::chrono::milliseconds probe_delay(int attempt) const;
 
   const ReplicaServer& replica_;
   FailoverConfig config_;

@@ -1,5 +1,6 @@
 #include "replication/repl_protocol.hpp"
 
+#include "common/framing.hpp"
 #include "common/wire.hpp"
 #include "service/commit_log.hpp"
 
@@ -7,43 +8,22 @@ namespace slacksched::repl {
 
 namespace {
 
-using wire::crc32_ieee;
-using wire::get;
-using wire::patch;
+using framing::end_frame;
+using framing::parse_fields;
 using wire::put;
 
-/// Opens a frame: writes the header with payload_len/crc zeroed and
-/// returns the offset where the payload begins.
 std::size_t begin_frame(std::vector<char>& out, ReplFrameType type,
                         std::uint16_t shard) {
-  put<std::uint8_t>(out, kReplProtocolVersion);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put<std::uint16_t>(out, shard);
-  put<std::uint32_t>(out, 0);  // payload_len, patched by end_frame
-  put<std::uint32_t>(out, 0);  // crc, patched by end_frame
-  return out.size();
+  return framing::begin_frame(out, kReplProtocolVersion,
+                              static_cast<std::uint8_t>(type), shard);
 }
 
-/// Closes the frame opened at `payload_start`: patches length and CRC.
-void end_frame(std::vector<char>& out, std::size_t payload_start) {
-  const std::size_t len = out.size() - payload_start;
-  patch<std::uint32_t>(out, payload_start - 8,
-                       static_cast<std::uint32_t>(len));
-  patch<std::uint32_t>(out, payload_start - 4,
-                       crc32_ieee(out.data() + payload_start, len));
-}
-
-/// Validates a fixed-size payload: at least `need` bytes (longer is legal
-/// — a newer peer may have appended fields we do not read).
-bool check_size(const ReplFrame& frame, std::size_t need, const char* what,
-                std::string* error) {
-  if (frame.payload.size() >= need) return true;
-  if (error != nullptr) {
-    *error = std::string(what) + " payload too short: " +
-             std::to_string(frame.payload.size()) + " < " +
-             std::to_string(need) + " bytes";
-  }
-  return false;
+/// One complete frame whose payload is the fixed-width `fields`.
+template <typename... Fields>
+void encode(std::vector<char>& out, ReplFrameType type, std::uint16_t shard,
+            const Fields&... fields) {
+  framing::encode_frame(out, kReplProtocolVersion,
+                        static_cast<std::uint8_t>(type), shard, fields...);
 }
 
 }  // namespace
@@ -76,18 +56,13 @@ std::string to_string(ReplAckMode mode) {
 
 void encode_hello(std::vector<char>& out, std::uint16_t shard,
                   const HelloMsg& msg) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kHello, shard);
-  put<std::uint32_t>(out, msg.machines);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.ack_mode));
-  put<std::uint64_t>(out, msg.leader_records);
-  end_frame(out, start);
+  encode(out, ReplFrameType::kHello, shard, msg.machines,
+         static_cast<std::uint8_t>(msg.ack_mode), msg.leader_records);
 }
 
 void encode_welcome(std::vector<char>& out, std::uint16_t shard,
                     std::uint64_t follower_records) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kWelcome, shard);
-  put<std::uint64_t>(out, follower_records);
-  end_frame(out, start);
+  encode(out, ReplFrameType::kWelcome, shard, follower_records);
 }
 
 void encode_append(std::vector<char>& out, std::uint16_t shard,
@@ -102,25 +77,17 @@ void encode_append(std::vector<char>& out, std::uint16_t shard,
 
 void encode_ack(std::vector<char>& out, std::uint16_t shard,
                 std::uint64_t watermark) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kAck, shard);
-  put<std::uint64_t>(out, watermark);
-  end_frame(out, start);
+  encode(out, ReplFrameType::kAck, shard, watermark);
 }
 
 void encode_heartbeat(std::vector<char>& out, std::uint16_t shard,
                       std::uint64_t leader_records) {
-  const std::size_t start =
-      begin_frame(out, ReplFrameType::kHeartbeat, shard);
-  put<std::uint64_t>(out, leader_records);
-  end_frame(out, start);
+  encode(out, ReplFrameType::kHeartbeat, shard, leader_records);
 }
 
 void encode_heartbeat_ack(std::vector<char>& out, std::uint16_t shard,
                           std::uint64_t follower_records) {
-  const std::size_t start =
-      begin_frame(out, ReplFrameType::kHeartbeatAck, shard);
-  put<std::uint64_t>(out, follower_records);
-  end_frame(out, start);
+  encode(out, ReplFrameType::kHeartbeatAck, shard, follower_records);
 }
 
 void encode_nack(std::vector<char>& out, std::uint16_t shard,
@@ -134,10 +101,11 @@ void encode_nack(std::vector<char>& out, std::uint16_t shard,
 }
 
 bool parse_hello(const ReplFrame& frame, HelloMsg& out, std::string* error) {
-  if (!check_size(frame, 13, "HELLO", error)) return false;
-  const char* cursor = frame.payload.data();
-  out.machines = get<std::uint32_t>(&cursor);
-  const std::uint8_t mode = get<std::uint8_t>(&cursor);
+  std::uint8_t mode = 0;
+  if (!parse_fields(frame.payload, "HELLO", error, out.machines, mode,
+                    out.leader_records)) {
+    return false;
+  }
   if (mode > static_cast<std::uint8_t>(ReplAckMode::kAckOnCommit)) {
     if (error != nullptr) {
       *error = "HELLO carries unknown ack mode " + std::to_string(mode);
@@ -145,25 +113,20 @@ bool parse_hello(const ReplFrame& frame, HelloMsg& out, std::string* error) {
     return false;
   }
   out.ack_mode = static_cast<ReplAckMode>(mode);
-  out.leader_records = get<std::uint64_t>(&cursor);
   return true;
 }
 
 bool parse_watermark(const ReplFrame& frame, std::uint64_t& out,
                      std::string* error) {
-  if (!check_size(frame, 8, "watermark frame", error)) return false;
-  const char* cursor = frame.payload.data();
-  out = get<std::uint64_t>(&cursor);
-  return true;
+  return parse_fields(frame.payload, "watermark frame", error, out);
 }
 
 bool parse_append(const ReplFrame& frame, std::uint64_t& base_seq,
                   std::uint32_t& count, const char** records,
                   std::string* error) {
-  if (!check_size(frame, 12, "APPEND", error)) return false;
-  const char* cursor = frame.payload.data();
-  base_seq = get<std::uint64_t>(&cursor);
-  count = get<std::uint32_t>(&cursor);
+  if (!parse_fields(frame.payload, "APPEND", error, base_seq, count)) {
+    return false;
+  }
   const std::size_t body = frame.payload.size() - 12;
   if (body != static_cast<std::size_t>(count) * kWalRecordBytes) {
     if (error != nullptr) {
@@ -172,14 +135,15 @@ bool parse_append(const ReplFrame& frame, std::uint64_t& base_seq,
     }
     return false;
   }
-  *records = cursor;
+  *records = frame.payload.data() + 12;
   return true;
 }
 
 bool parse_nack(const ReplFrame& frame, NackMsg& out, std::string* error) {
-  if (!check_size(frame, 9, "NACK", error)) return false;
-  const char* cursor = frame.payload.data();
-  const std::uint8_t reason = get<std::uint8_t>(&cursor);
+  std::uint8_t reason = 0;
+  if (!parse_fields(frame.payload, "NACK", error, reason, out.detail)) {
+    return false;
+  }
   if (reason < 1 || reason > static_cast<std::uint8_t>(NackReason::kBadState)) {
     if (error != nullptr) {
       *error = "NACK carries unknown reason code " + std::to_string(reason);
@@ -187,57 +151,8 @@ bool parse_nack(const ReplFrame& frame, NackMsg& out, std::string* error) {
     return false;
   }
   out.reason = static_cast<NackReason>(reason);
-  out.detail = get<std::uint64_t>(&cursor);
   out.message.assign(frame.payload.begin() + 9, frame.payload.end());
   return true;
-}
-
-void ReplFrameDecoder::feed(const char* data, std::size_t n) {
-  if (!error_.empty()) return;  // sticky: the stream is already lost
-  // Compact the consumed prefix before growing; amortized O(1) per byte.
-  if (pos_ > 0 && (pos_ == buffer_.size() || pos_ >= 4096)) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + n);
-}
-
-ReplFrameDecoder::Status ReplFrameDecoder::next(ReplFrame& out) {
-  if (!error_.empty()) return Status::kError;
-  if (buffered() < kReplHeaderSize) return Status::kNeedMore;
-  const char* cursor = buffer_.data() + pos_;
-  const std::uint8_t version = get<std::uint8_t>(&cursor);
-  const std::uint8_t type = get<std::uint8_t>(&cursor);
-  const std::uint16_t shard = get<std::uint16_t>(&cursor);
-  const std::uint32_t len = get<std::uint32_t>(&cursor);
-  const std::uint32_t crc = get<std::uint32_t>(&cursor);
-  if (version != kReplProtocolVersion) {
-    error_ = "unsupported replication protocol version " +
-             std::to_string(version) + " (this build speaks " +
-             std::to_string(kReplProtocolVersion) + ")";
-    return Status::kError;
-  }
-  if (!repl_frame_type_valid(type)) {
-    error_ = "unknown replication frame type " + std::to_string(type);
-    return Status::kError;
-  }
-  if (len > kMaxReplPayload) {
-    error_ = "payload length " + std::to_string(len) + " exceeds the " +
-             std::to_string(kMaxReplPayload) + "-byte cap";
-    return Status::kError;
-  }
-  if (buffered() < kReplHeaderSize + len) return Status::kNeedMore;
-  if (crc32_ieee(cursor, len) != crc) {
-    error_ = "payload checksum mismatch on replication frame type " +
-             std::to_string(type);
-    return Status::kError;
-  }
-  out.type = static_cast<ReplFrameType>(type);
-  out.shard = shard;
-  out.payload.assign(cursor, cursor + len);
-  pos_ += kReplHeaderSize + len;
-  return Status::kFrame;
 }
 
 }  // namespace slacksched::repl

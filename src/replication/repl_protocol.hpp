@@ -7,14 +7,9 @@
 /// client admission protocol (net/protocol.hpp, docs/net.md) is untouched
 /// and versions independently.
 ///
-/// Frame layout (header is kReplHeaderSize = 12 bytes):
-///
-///   u8  version      kReplProtocolVersion (1); mismatch rejects the frame
-///   u8  type         ReplFrameType; unknown values reject the frame
-///   u16 shard        shard index the frame belongs to
-///   u32 payload_len  <= kMaxReplPayload; bigger frames reject loudly
-///   u32 crc          CRC-32 (IEEE) of the payload bytes
-///   ... payload_len bytes of payload
+/// Frames use the shared 12-byte header of common/framing.hpp (version 1,
+/// types 1..7, payloads up to kMaxReplPayload); the header's u16 field
+/// carries the shard index the frame belongs to.
 ///
 /// Conversation shape (one TCP connection per shard, leader connects):
 ///
@@ -29,8 +24,8 @@
 ///   follower: NACK{reason, detail}             (fail-safe refusal: the
 ///             session ends, nothing was persisted from the bad frame)
 ///
-/// APPEND payloads carry raw commit-log records byte-for-byte (the 52-byte
-/// frame of service/commit_log.hpp, each independently CRC-framed), so a
+/// APPEND payloads carry raw commit-log records byte-for-byte (the 56-byte
+/// record of service/commit_log.hpp, each independently CRC-framed), so a
 /// follower's log is verbatim-identical to the leader's and replays
 /// through the exact same recover_commit_log path.
 #pragma once
@@ -42,13 +37,15 @@
 #include <string_view>
 #include <vector>
 
+#include "common/framing.hpp"
+
 namespace slacksched::repl {
 
 /// Replication protocol version this build speaks.
 inline constexpr std::uint8_t kReplProtocolVersion = 1;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
-inline constexpr std::size_t kReplHeaderSize = 12;
+inline constexpr std::size_t kReplHeaderSize = framing::kHeaderSize;
 
 /// Largest accepted payload (caps APPEND to ~20k records per frame).
 inline constexpr std::uint32_t kMaxReplPayload = 1u << 20;
@@ -64,10 +61,10 @@ enum class ReplFrameType : std::uint8_t {
   kNack = 7,          ///< follower -> leader: refusal, then close
 };
 
-/// True iff `value` is a defined ReplFrameType wire value.
-[[nodiscard]] constexpr bool repl_frame_type_valid(std::uint8_t value) {
-  return value >= 1 && value <= 7;
-}
+/// The replication protocol's header parameters for the shared decoder.
+inline constexpr framing::Protocol kReplFrameProtocol{
+    kReplProtocolVersion, static_cast<std::uint8_t>(ReplFrameType::kNack),
+    kMaxReplPayload, "replication "};
 
 /// Why a follower refused (NACK payload `reason`). Values are frozen.
 enum class NackReason : std::uint8_t {
@@ -116,6 +113,12 @@ struct ReplFrame {
   ReplFrameType type = ReplFrameType::kNack;
   std::uint16_t shard = 0;
   std::vector<char> payload;
+
+  /// Takes the decoded header's type and shard.
+  void adopt(const framing::Header& header) {
+    type = static_cast<ReplFrameType>(header.type);
+    shard = header.field;
+  }
 };
 
 // --- encoders: append one complete frame (header + payload) to `out` ---
@@ -145,40 +148,15 @@ void encode_nack(std::vector<char>& out, std::uint16_t shard,
 /// WELCOME / ACK / HEARTBEAT / HEARTBEAT_ACK all carry one u64.
 [[nodiscard]] bool parse_watermark(const ReplFrame& frame,
                                    std::uint64_t& out, std::string* error);
-/// On success `records` points into frame.payload (count * 52 bytes).
+/// On success `records` points into frame.payload (count * 56 bytes).
 [[nodiscard]] bool parse_append(const ReplFrame& frame,
                                 std::uint64_t& base_seq, std::uint32_t& count,
                                 const char** records, std::string* error);
 [[nodiscard]] bool parse_nack(const ReplFrame& frame, NackMsg& out,
                               std::string* error);
 
-/// Incremental frame decoder: feed() raw bytes as they arrive, then pull
-/// complete frames with next(). A malformed stream (bad version, unknown
-/// type, oversized length, CRC mismatch) puts the decoder into a sticky
-/// error state — framing is lost for good on a byte stream, so the only
-/// safe reaction is to report and close the connection.
-class ReplFrameDecoder {
- public:
-  enum class Status {
-    kFrame,     ///< `out` holds the next complete frame
-    kNeedMore,  ///< no complete frame buffered; feed() more bytes
-    kError,     ///< stream corrupt; see error()
-  };
-
-  void feed(const char* data, std::size_t n);
-
-  [[nodiscard]] Status next(ReplFrame& out);
-
-  /// Why the stream was rejected (empty unless next() returned kError).
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - pos_; }
-
- private:
-  std::vector<char> buffer_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buffer_
-  std::string error_;
-};
+/// Incremental frame decoder (common/framing.hpp): feed() raw bytes,
+/// pull frames with next(); any malformed frame is a sticky error.
+using ReplFrameDecoder = framing::TypedDecoder<ReplFrame, kReplFrameProtocol>;
 
 }  // namespace slacksched::repl

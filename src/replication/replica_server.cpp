@@ -21,71 +21,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Structural scan of a WAL body: counts whole, CRC-valid records from
-/// `offset` and reports where the clean prefix ends. Purely framing-level
-/// — semantic validation (legality of the commitments) happens once, at
-/// promotion, through recover_commit_log.
-struct ScanResult {
-  std::uint64_t records = 0;
-  off_t clean_end = 0;
-  bool torn = false;
-};
-
-ScanResult scan_records(int fd, off_t file_size) {
-  ScanResult scan;
-  scan.clean_end = static_cast<off_t>(kWalHeaderBytes);
-  char record[kWalRecordBytes];
-  while (scan.clean_end + static_cast<off_t>(kWalRecordBytes) <= file_size) {
-    if (::pread(fd, record, kWalRecordBytes, scan.clean_end) !=
-        static_cast<ssize_t>(kWalRecordBytes)) {
-      scan.torn = true;
-      return scan;
-    }
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
-      scan.torn = true;
-      return scan;
-    }
-    ++scan.records;
-    scan.clean_end += static_cast<off_t>(kWalRecordBytes);
-  }
-  scan.torn = scan.clean_end != file_size;
-  return scan;
-}
-
-/// True iff every record in an APPEND body passes its frame check.
-bool records_well_formed(const char* records, std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const char* record = records + static_cast<std::size_t>(i) * kWalRecordBytes;
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool write_fully(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 ReplicaServer::ReplicaServer(ReplicaServerConfig config)
@@ -194,17 +129,8 @@ void ReplicaServer::touch_activity() {
 }
 
 void ReplicaServer::send_frame(int fd, const std::vector<char>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return;  // peer gone; the read loop notices and closes
-  }
+  // A failed send means the peer is gone; the read loop notices and closes.
+  (void)wire::send_all(fd, bytes.data(), bytes.size());
 }
 
 void ReplicaServer::accept_loop() {
@@ -281,56 +207,22 @@ bool ReplicaServer::open_shard_log(ShardState& state, int shard,
     *why = "cannot seek replica log " + path + ": " + std::strerror(errno);
     return false;
   }
+  *why = prepare_wal_header(state.fd, static_cast<std::size_t>(size),
+                            machines, path);
+  if (!why->empty()) return false;
   if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    // Fresh (or torn-inside-the-header) log: write a clean header carrying
-    // the leader's machine count — byte-identical to CommitLog::open's.
-    if (::ftruncate(state.fd, 0) != 0) {
-      *why = "cannot reset replica log " + path + ": " + std::strerror(errno);
-      return false;
-    }
-    std::vector<char> header;
-    header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-    wire::put(header, kWalVersion);
-    wire::put(header, machines);
-    if (::lseek(state.fd, 0, SEEK_SET) != 0 ||
-        !write_fully(state.fd, header.data(), header.size())) {
-      *why = "cannot write replica log header " + path;
-      return false;
-    }
-    state.records.store(0, std::memory_order_release);
+    state.records.store(0, std::memory_order_release);  // fresh header
     return true;
   }
-  char header[kWalHeaderBytes];
-  if (::pread(state.fd, header, sizeof(header), 0) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    *why = "cannot read replica log header " + path;
-    return false;
-  }
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    *why = path + ": not a commit log (bad magic)";
-    return false;
-  }
-  std::uint32_t version = 0;
-  std::uint32_t header_machines = 0;
-  std::memcpy(&version, header + 8, sizeof(version));
-  std::memcpy(&header_machines, header + 12, sizeof(header_machines));
-  if (version != kWalVersion) {
-    *why = path + ": unsupported commit log version " +
-           std::to_string(version);
-    return false;
-  }
-  if (header_machines != machines) {
-    *why = path + ": replica log is for " + std::to_string(header_machines) +
-           " machines, leader has " + std::to_string(machines);
-    return false;
-  }
-  const ScanResult scan = scan_records(state.fd, size);
-  if (scan.torn && ::ftruncate(state.fd, scan.clean_end) != 0) {
+  const WalScan scan =
+      scan_wal_records(state.fd, static_cast<std::size_t>(size));
+  const auto clean_end = static_cast<off_t>(scan.clean_end);
+  if (scan.torn && ::ftruncate(state.fd, clean_end) != 0) {
     *why = "cannot truncate torn replica tail " + path + ": " +
            std::strerror(errno);
     return false;
   }
-  if (::lseek(state.fd, scan.clean_end, SEEK_SET) != scan.clean_end) {
+  if (::lseek(state.fd, clean_end, SEEK_SET) != clean_end) {
     *why = "cannot seek replica log tail " + path;
     return false;
   }
@@ -343,12 +235,17 @@ bool ReplicaServer::handle_frame(
     std::unordered_map<int, std::uint64_t>& epochs) {
   const int shard = static_cast<int>(frame.shard);
   std::vector<char> reply;
-  if (shard < 0 || shard >= config_.shards) {
-    encode_nack(reply, frame.shard, NackReason::kBadState, 0,
-                "replica serves " + std::to_string(config_.shards) +
-                    " shards, frame names shard " + std::to_string(shard));
+  // Every refusal answers NACK and ends the session.
+  const auto refuse = [&](NackReason reason, std::uint64_t detail,
+                          const std::string& message) {
+    encode_nack(reply, frame.shard, reason, detail, message);
     send_frame(fd, reply);
     return false;
+  };
+  if (shard < 0 || shard >= config_.shards) {
+    return refuse(NackReason::kBadState, 0,
+                  "replica serves " + std::to_string(config_.shards) +
+                      " shards, frame names shard " + std::to_string(shard));
   }
   ShardState& state = *states_[static_cast<std::size_t>(shard)];
   std::string error;
@@ -356,28 +253,22 @@ bool ReplicaServer::handle_frame(
   if (frame.type == ReplFrameType::kHello) {
     HelloMsg hello;
     if (!parse_hello(frame, hello, &error)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, error);
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kBadState, 0, error);
     }
     std::lock_guard lock(state.mutex);
     std::string why;
     if (!open_shard_log(state, shard, hello.machines, &why)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, why);
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kBadState, 0, why);
     }
     const std::uint64_t have = state.records.load(std::memory_order_relaxed);
     if (hello.leader_records < have) {
       // Stale leader: it lost records this replica still holds. Refusing
       // here is what keeps a recovered-but-behind leader from serving —
       // and from ever truncating the survivor's history.
-      encode_nack(reply, frame.shard, NackReason::kStaleLeader, have,
-                  "leader announces " +
-                      std::to_string(hello.leader_records) +
-                      " records, replica holds " + std::to_string(have));
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kStaleLeader, have,
+                    "leader announces " +
+                        std::to_string(hello.leader_records) +
+                        " records, replica holds " + std::to_string(have));
     }
     // Newest session wins the shard; a superseded one finds its epoch
     // stale on its next frame and bows out.
@@ -394,10 +285,7 @@ bool ReplicaServer::handle_frame(
   // Every other frame requires an owned session on the shard.
   const auto it = epochs.find(shard);
   if (it == epochs.end()) {
-    encode_nack(reply, frame.shard, NackReason::kBadState, 0,
-                "no session: HELLO first");
-    send_frame(fd, reply);
-    return false;
+    return refuse(NackReason::kBadState, 0, "no session: HELLO first");
   }
 
   if (frame.type == ReplFrameType::kAppend) {
@@ -405,37 +293,35 @@ bool ReplicaServer::handle_frame(
     std::uint32_t count = 0;
     const char* records = nullptr;
     if (!parse_append(frame, base_seq, count, &records, &error)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, error);
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kBadState, 0, error);
     }
     std::lock_guard lock(state.mutex);
     if (state.epoch != it->second) return false;  // superseded
     const std::uint64_t have = state.records.load(std::memory_order_relaxed);
     if (base_seq != have) {
-      encode_nack(reply, frame.shard, NackReason::kSequenceGap, have,
-                  "APPEND base " + std::to_string(base_seq) +
-                      ", replica expects " + std::to_string(have));
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kSequenceGap, have,
+                    "APPEND base " + std::to_string(base_seq) +
+                        ", replica expects " + std::to_string(have));
     }
-    if (!records_well_formed(records, count)) {
+    bool well_formed = true;
+    for (std::uint32_t i = 0; i < count && well_formed; ++i) {
+      well_formed = wal_record_intact(
+          records + static_cast<std::size_t>(i) * kWalRecordBytes);
+    }
+    if (!well_formed) {
       // All-or-nothing: one bad record quarantines the whole frame, so a
       // valid prefix never mixes with corruption on disk.
       quarantined_.fetch_add(1, std::memory_order_relaxed);
-      encode_nack(reply, frame.shard, NackReason::kCorruptRecord, have,
-                  "a record in the APPEND failed its CRC frame check");
-      send_frame(fd, reply);
-      return false;
+      return refuse(NackReason::kCorruptRecord, have,
+                    "a record in the APPEND failed its CRC frame check");
     }
     const std::size_t bytes =
         static_cast<std::size_t>(count) * kWalRecordBytes;
-    if (!write_fully(state.fd, records, bytes) || ::fsync(state.fd) != 0) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, have,
-                  "replica log write failed: " +
-                      std::string(std::strerror(errno)));
-      send_frame(fd, reply);
-      return false;
+    if (!wire::write_all(state.fd, records, bytes) ||
+        ::fsync(state.fd) != 0) {
+      return refuse(NackReason::kBadState, have,
+                    "replica log write failed: " +
+                        std::string(std::strerror(errno)));
     }
     const std::uint64_t now_have = have + count;
     state.records.store(now_have, std::memory_order_release);
@@ -455,11 +341,9 @@ bool ReplicaServer::handle_frame(
     return true;
   }
 
-  encode_nack(reply, frame.shard, NackReason::kBadState, 0,
-              "unexpected frame type " +
-                  std::to_string(static_cast<int>(frame.type)));
-  send_frame(fd, reply);
-  return false;
+  return refuse(NackReason::kBadState, 0,
+                "unexpected frame type " +
+                    std::to_string(static_cast<int>(frame.type)));
 }
 
 }  // namespace slacksched::repl

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/wire.hpp"
 #include "net/admission_client.hpp"
 #include "net/protocol.hpp"
 
@@ -200,15 +201,7 @@ void ShardReplicator::on_close(std::uint64_t watermark) {
 void ShardReplicator::send_all(const char* data, std::size_t size,
                                bool crash_point) {
   const auto send_chunk = [this](const char* chunk, std::size_t n) {
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t written =
-          ::send(fd_, chunk + sent, n - sent, MSG_NOSIGNAL);
-      if (written > 0) {
-        sent += static_cast<std::size_t>(written);
-        continue;
-      }
-      if (written < 0 && errno == EINTR) continue;
+    if (!wire::send_all(fd_, chunk, n)) {
       throw ReplError(std::string("replication send: ") +
                       std::strerror(errno));
     }
@@ -371,17 +364,11 @@ void ShardReplicator::catch_up(const std::string& path, std::uint64_t from,
       buf.resize(bytes);
       const off_t offset = static_cast<off_t>(
           kWalHeaderBytes + base * kWalRecordBytes);
-      std::size_t got = 0;
-      while (got < bytes) {
-        const ssize_t n = ::pread(file, buf.data() + got, bytes - got,
-                                  offset + static_cast<off_t>(got));
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          throw ReplError("leader log " + path +
-                          " is shorter than its recovered record count "
-                          "during catch-up");
-        }
-        got += static_cast<std::size_t>(n);
+      if (wire::pread_all(file, buf.data(), bytes, offset) !=
+          static_cast<ssize_t>(bytes)) {
+        throw ReplError("leader log " + path +
+                        " is shorter than its recovered record count "
+                        "during catch-up");
       }
       std::vector<char> out;
       encode_append(out, static_cast<std::uint16_t>(shard_), base,

@@ -320,11 +320,15 @@ class BoundedMpscQueue {
   }
 
   /// Claimed-but-not-yet-consumed items (includes claims whose publication
-  /// is still in flight). Approximate under concurrency, exact at rest.
+  /// is still in flight). Approximate under concurrency, exact at rest,
+  /// and always within [0, capacity()]: the consume cursor is loaded first
+  /// (it never passes the claim cursor, so the difference cannot wrap),
+  /// and the bound covers items consumed and re-claimed between the loads.
   [[nodiscard]] std::size_t size() const {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
     const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>((head & ~kClosedBit) - tail);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    return std::min(static_cast<std::size_t>((head & ~kClosedBit) - tail),
+                    capacity_);
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

@@ -3,7 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -16,6 +16,7 @@ namespace slacksched {
 
 namespace {
 
+using wire::get;
 using wire::put;
 
 [[noreturn]] void throw_errno(const std::string& what,
@@ -43,20 +44,112 @@ std::uint32_t wal_crc32(const void* data, std::size_t n) {
 
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out) {
-  std::vector<char> payload;
-  payload.reserve(kWalPayloadBytes);
-  put(payload, static_cast<std::int64_t>(job.id));
-  put(payload, job.release);
-  put(payload, job.proc);
-  put(payload, job.deadline);
-  put(payload, static_cast<std::int32_t>(machine));
-  put(payload, static_cast<std::uint32_t>(criticality_index(job.criticality)));
-  put(payload, start);
-  SLACKSCHED_ENSURES(payload.size() == kWalPayloadBytes);
+  const std::size_t frame = out.size();
+  put(out, static_cast<std::uint32_t>(kWalPayloadBytes));
+  put(out, std::uint32_t{0});  // crc, patched once the payload is in
+  put(out, static_cast<std::int64_t>(job.id));
+  put(out, job.release);
+  put(out, job.proc);
+  put(out, job.deadline);
+  put(out, static_cast<std::int32_t>(machine));
+  put(out, static_cast<std::uint32_t>(criticality_index(job.criticality)));
+  put(out, start);
+  SLACKSCHED_ENSURES(out.size() - frame == kWalRecordBytes);
+  wire::patch(out, frame + 4,
+              wal_crc32(out.data() + frame + kWalFrameBytes,
+                        kWalPayloadBytes));
+}
 
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  put(out, wal_crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+WalRecord decode_wal_record(const char* record) {
+  const char* cursor = record + kWalFrameBytes;
+  WalRecord out;
+  out.job.id = get<std::int64_t>(&cursor);
+  out.job.release = get<double>(&cursor);
+  out.job.proc = get<double>(&cursor);
+  out.job.deadline = get<double>(&cursor);
+  out.machine = get<std::int32_t>(&cursor);
+  out.criticality = get<std::uint32_t>(&cursor);
+  out.start = get<double>(&cursor);
+  return out;
+}
+
+std::string wal_header_error(const char* header, std::uint32_t machines,
+                             const std::string& path) {
+  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+    return path + ": not a commit log (bad magic)";
+  }
+  const char* cursor = header + sizeof(kWalMagic);
+  const auto version = get<std::uint32_t>(&cursor);
+  const auto header_machines = get<std::uint32_t>(&cursor);
+  if (version != kWalVersion) {
+    return path + ": unsupported commit log version " +
+           std::to_string(version);
+  }
+  if (machines != 0 && header_machines != machines) {
+    return path + ": commit log is for " + std::to_string(header_machines) +
+           " machines, expected " + std::to_string(machines);
+  }
+  return {};
+}
+
+std::string prepare_wal_header(int fd, std::size_t size,
+                               std::uint32_t machines,
+                               const std::string& path) {
+  if (size >= kWalHeaderBytes) {
+    char header[kWalHeaderBytes];
+    if (::pread(fd, header, sizeof(header), 0) !=
+        static_cast<ssize_t>(sizeof(header))) {
+      return "cannot read commit log header " + path;
+    }
+    return wal_header_error(header, machines, path);
+  }
+  // Fresh log, or a tail torn inside the header: reset and write the
+  // header at offset 0.
+  if (size > 0 &&
+      (::ftruncate(fd, 0) != 0 || ::lseek(fd, 0, SEEK_SET) != 0)) {
+    return "cannot reset commit log " + path + ": " + std::strerror(errno);
+  }
+  std::vector<char> header(kWalMagic, kWalMagic + sizeof(kWalMagic));
+  put(header, kWalVersion);
+  put(header, machines);
+  SLACKSCHED_ENSURES(header.size() == kWalHeaderBytes);
+  if (!wire::write_all(fd, header.data(), header.size())) {
+    return "cannot write commit log header " + path + ": " +
+           std::strerror(errno);
+  }
+  return {};
+}
+
+bool wal_record_intact(const char* record) {
+  const auto len = get<std::uint32_t>(&record);
+  const auto crc = get<std::uint32_t>(&record);
+  return len == kWalPayloadBytes &&
+         wal_crc32(record, kWalPayloadBytes) == crc;
+}
+
+WalScan scan_wal_records(int fd, std::size_t size) {
+  WalScan scan;
+  // Whole records are read a chunk at a time: one pread per 1024 records.
+  std::vector<char> chunk(1024 * kWalRecordBytes);
+  while (scan.clean_end + kWalRecordBytes <= size) {
+    const std::size_t want = std::min(
+        chunk.size(),
+        (size - scan.clean_end) / kWalRecordBytes * kWalRecordBytes);
+    const ssize_t got = wire::pread_all(fd, chunk.data(), want,
+                                        static_cast<off_t>(scan.clean_end));
+    if (got < static_cast<ssize_t>(kWalRecordBytes)) break;
+    const std::size_t whole = static_cast<std::size_t>(got) / kWalRecordBytes;
+    for (std::size_t i = 0; i < whole; ++i) {
+      if (!wal_record_intact(chunk.data() + i * kWalRecordBytes)) {
+        scan.torn = true;
+        return scan;
+      }
+      ++scan.records;
+      scan.clean_end += kWalRecordBytes;
+    }
+  }
+  scan.torn = scan.clean_end != size;
+  return scan;
 }
 
 std::unique_ptr<CommitLog> CommitLog::open(const std::string& path,
@@ -73,49 +166,12 @@ std::unique_ptr<CommitLog> CommitLog::open(const std::string& path,
     ::close(fd);
     throw_errno("cannot seek commit log", path);
   }
-  if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    // Fresh log (or a tail torn inside the header): reset and write the
-    // header.
-    if (::ftruncate(fd, 0) != 0) {
-      ::close(fd);
-      throw_errno("cannot reset commit log", path);
-    }
-    std::vector<char> header;
-    header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-    put(header, kWalVersion);
-    put(header, static_cast<std::uint32_t>(machines));
-    SLACKSCHED_ENSURES(header.size() == kWalHeaderBytes);
-    if (::write(fd, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size())) {
-      ::close(fd);
-      throw_errno("cannot write commit log header", path);
-    }
-  } else {
-    char header[kWalHeaderBytes];
-    if (::pread(fd, header, sizeof(header), 0) !=
-        static_cast<ssize_t>(sizeof(header))) {
-      ::close(fd);
-      throw_errno("cannot read commit log header", path);
-    }
-    if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-      ::close(fd);
-      throw CommitLogError(path + ": not a commit log (bad magic)");
-    }
-    std::uint32_t version = 0;
-    std::uint32_t header_machines = 0;
-    std::memcpy(&version, header + 8, sizeof(version));
-    std::memcpy(&header_machines, header + 12, sizeof(header_machines));
-    if (version != kWalVersion) {
-      ::close(fd);
-      throw CommitLogError(path + ": unsupported commit log version " +
-                           std::to_string(version));
-    }
-    if (header_machines != static_cast<std::uint32_t>(machines)) {
-      ::close(fd);
-      throw CommitLogError(path + ": commit log is for " +
-                           std::to_string(header_machines) +
-                           " machines, shard has " + std::to_string(machines));
-    }
+  const std::string why = prepare_wal_header(
+      fd, static_cast<std::size_t>(size),
+      static_cast<std::uint32_t>(machines), path);
+  if (!why.empty()) {
+    ::close(fd);
+    throw CommitLogError(why);
   }
   auto log = std::unique_ptr<CommitLog>(
       new CommitLog(path, fd, config, faults, shard));
@@ -203,16 +259,8 @@ void CommitLog::close() {
 }
 
 void CommitLog::flush_buffer() {
-  const char* data = buffer_.data();
-  std::size_t remaining = buffer_.size();
-  while (remaining > 0) {
-    const ssize_t written = ::write(fd_, data, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("cannot append to commit log", path_);
-    }
-    data += written;
-    remaining -= static_cast<std::size_t>(written);
+  if (!wire::write_all(fd_, buffer_.data(), buffer_.size())) {
+    throw_errno("cannot append to commit log", path_);
   }
   buffer_.clear();
 }

@@ -6,6 +6,12 @@
 // (service/recovery.hpp) replays the log, truncating a torn tail, and
 // rebuilds the shard's committed schedule and scheduler frontier state.
 //
+// This module is the single owner of the WAL byte format: the header
+// write and check, the record frame and its integrity predicate, and the
+// clean-prefix scan are defined here and nowhere else. Recovery, the
+// replication follower (replication/replica_server.hpp) and promotion
+// (replication/failover.hpp) call them.
+//
 // On-disk format (little-endian, fixed-width):
 //
 //   header   : magic "SLKWAL02" (8) | u32 version | u32 machines     = 16 B
@@ -196,5 +202,54 @@ class CommitLog {
 /// path shared by the writer and the tests that forge torn/corrupt logs.
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out);
+
+/// One record read back: the inverse of encode_wal_record. The class stays
+/// a raw value, so a reader can reject one outside the frozen range that
+/// passed the CRC.
+struct WalRecord {
+  Job job;  ///< criticality left at its default; see `criticality`
+  int machine = 0;
+  std::uint32_t criticality = 0;
+  TimePoint start = 0.0;
+};
+
+/// Decodes the record at `record` (kWalRecordBytes, wal_record_intact).
+[[nodiscard]] WalRecord decode_wal_record(const char* record);
+
+/// Why `header` (kWalHeaderBytes) is not the header of a log for
+/// `machines` machines — bad magic, version or machine count — or an empty
+/// string when it is. `machines` 0 accepts any machine count. Messages
+/// name `path`.
+[[nodiscard]] std::string wal_header_error(const char* header,
+                                           std::uint32_t machines,
+                                           const std::string& path);
+
+/// Readies the log file behind `fd`, `size` bytes long with the fd offset
+/// at its end, for appending records of a `machines`-machine log. A file
+/// shorter than a header (fresh, or torn inside the header) is reset and
+/// gets a fresh header with one write; a longer one has its header read
+/// with one pread and checked. Returns an empty string, or why the file
+/// cannot serve as that log.
+[[nodiscard]] std::string prepare_wal_header(int fd, std::size_t size,
+                                             std::uint32_t machines,
+                                             const std::string& path);
+
+/// True iff `record` (kWalRecordBytes) is a whole record: its length field
+/// is kWalPayloadBytes and its CRC matches the payload. A record failing
+/// this is a torn tail, not a record to skip.
+[[nodiscard]] bool wal_record_intact(const char* record);
+
+/// The clean prefix of a log: the whole, intact records after the header.
+struct WalScan {
+  std::uint64_t records = 0;
+  std::size_t clean_end = kWalHeaderBytes;  ///< offset the prefix ends at
+  bool torn = false;  ///< bytes past clean_end (a torn or corrupt tail)
+};
+
+/// Scans the records of the `size`-byte log behind `fd` (header already
+/// checked) and stops at the first record that fails wal_record_intact or
+/// cannot be read. Framing only: legality of the commitments is checked
+/// by recover_commit_log.
+[[nodiscard]] WalScan scan_wal_records(int fd, std::size_t size);
 
 }  // namespace slacksched

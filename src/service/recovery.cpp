@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/wire.hpp"
 #include "policy/criticality.hpp"
 #include "sched/decision.hpp"
 #include "sched/validator.hpp"
@@ -16,24 +17,161 @@ namespace slacksched {
 
 namespace {
 
-template <typename T>
-T get_raw(const char* data) {
-  T value;
-  std::memcpy(&value, data, sizeof(T));
-  return value;
-}
-
 RecoveryResult fail(RecoveryResult result, std::string error) {
   result.ok = false;
   result.error = std::move(error);
   return result;
 }
 
-/// Length fields a writer could never have produced mark a torn frame, not
-/// a record to skip: today every payload is exactly kWalPayloadBytes, and
-/// the cap guards against interpreting garbage as a multi-gigabyte record.
-bool plausible_payload_len(std::uint32_t len) {
-  return len == kWalPayloadBytes && len <= 4096;
+/// Replays the open log `fd` into `result` (see recover_commit_log); the
+/// caller closes the descriptor.
+RecoveryResult replay(int fd, const std::string& path, int machines,
+                      OnlineScheduler* scheduler, bool truncate_file,
+                      RecoveryResult result) {
+  const off_t raw_size = ::lseek(fd, 0, SEEK_END);
+  if (raw_size < 0) {
+    return fail(std::move(result), "cannot seek commit log " + path + ": " +
+                                       std::strerror(errno));
+  }
+  const std::size_t size = static_cast<std::size_t>(raw_size);
+
+  if (size < kWalHeaderBytes) {
+    // Torn inside the header: nothing was ever durably committed.
+    if (size > 0) {
+      result.tail_truncated = true;
+      result.bytes_truncated = size;
+      if (truncate_file && ::ftruncate(fd, 0) != 0) {
+        return fail(std::move(result), "cannot truncate commit log " + path +
+                                           ": " + std::strerror(errno));
+      }
+    }
+    return result;
+  }
+
+  std::vector<char> data(size);
+  // A concurrent shrink reads short; the rest is treated as torn.
+  const ssize_t read = wire::pread_all(fd, data.data(), size, 0);
+  if (read < 0) {
+    return fail(std::move(result), "cannot read commit log " + path + ": " +
+                                       std::strerror(errno));
+  }
+  const auto have = static_cast<std::size_t>(read);
+
+  std::string why = wal_header_error(
+      data.data(), static_cast<std::uint32_t>(machines), path);
+  if (!why.empty()) return fail(std::move(result), std::move(why));
+
+  std::size_t offset = kWalHeaderBytes;
+  std::size_t good_offset = offset;
+  while (offset + kWalRecordBytes <= have &&
+         wal_record_intact(data.data() + offset)) {
+    const WalRecord record = decode_wal_record(data.data() + offset);
+    Job job = record.job;
+    const int machine = record.machine;
+    const TimePoint start = record.start;
+    if (record.criticality >= kCriticalityCount) {
+      // A class outside the enum passed the CRC: the record is corrupt in
+      // a way framing cannot see, like an illegal commitment.
+      return fail(std::move(result),
+                  path + ": record " +
+                      std::to_string(result.records_replayed + 1) +
+                      " carries criticality " +
+                      std::to_string(record.criticality) +
+                      ", outside the frozen class range");
+    }
+    job.criticality = static_cast<Criticality>(record.criticality);
+
+    if (wal_is_control_id(job.id)) {
+      // Capacity control record: replay the resize at exactly this point
+      // of the log, so every subsequent commitment sees the machine pool
+      // the original run committed against. Control records count toward
+      // records_replayed (the replication sequence space) but are not
+      // jobs, so the run metrics ignore them.
+      if (job.id == kWalControlGrow) {
+        if (!result.schedule.uniform_speeds()) {
+          return fail(std::move(result),
+                      path + ": grow control record under a machine-speed "
+                             "profile; elastic capacity requires identical "
+                             "machines");
+        }
+        if (scheduler != nullptr) {
+          const int grown = scheduler->add_machine();
+          if (grown != machine) {
+            return fail(std::move(result),
+                        path + ": grow control record names machine " +
+                            std::to_string(machine) +
+                            " but the scheduler grew machine " +
+                            std::to_string(grown) +
+                            "; the replayed resize sequence diverged");
+          }
+        }
+        result.schedule.ensure_machines(machine + 1);
+      } else if (job.id == kWalControlRetireBegin) {
+        if (scheduler != nullptr && !scheduler->begin_retire(machine)) {
+          return fail(std::move(result),
+                      path + ": retire-begin control record for machine " +
+                          std::to_string(machine) +
+                          " is not applicable to scheduler '" +
+                          scheduler->name() + "'");
+        }
+      } else if (job.id == kWalControlRetireDone) {
+        // The original run observed the drain before logging this, so the
+        // retirement finishes unconditionally on replay.
+        if (scheduler != nullptr && !scheduler->finish_retire(machine)) {
+          return fail(std::move(result),
+                      path + ": retire-done control record for machine " +
+                          std::to_string(machine) +
+                          " but that machine is not retiring");
+        }
+      } else {
+        return fail(std::move(result),
+                    path + ": unknown control record id " +
+                        std::to_string(job.id));
+      }
+      ++result.records_replayed;
+      offset += kWalRecordBytes;
+      good_offset = offset;
+      continue;
+    }
+
+    const Decision decision = Decision::accept(machine, start);
+    const std::string violation =
+        validate_commitment(result.schedule, job, decision);
+    if (!violation.empty()) {
+      return fail(std::move(result),
+                  path + ": record " +
+                      std::to_string(result.records_replayed + 1) +
+                      " (job " + std::to_string(job.id) +
+                      ") fails commitment validation: " + violation);
+    }
+    result.schedule.commit(job, machine, start);
+    if (scheduler != nullptr &&
+        !scheduler->restore_commitment(job, machine, start)) {
+      return fail(std::move(result),
+                  path + ": scheduler '" + scheduler->name() +
+                      "' cannot restore commitments; recovery for it is "
+                      "unsupported");
+    }
+    ++result.records_replayed;
+    ++result.metrics.submitted;
+    ++result.metrics.accepted;
+    result.metrics.accepted_volume += job.proc;
+
+    offset += kWalRecordBytes;
+    good_offset = offset;
+  }
+
+  if (good_offset < have) {
+    result.tail_truncated = true;
+    result.bytes_truncated = have - good_offset;
+    if (truncate_file &&
+        ::ftruncate(fd, static_cast<off_t>(good_offset)) != 0) {
+      return fail(std::move(result), "cannot truncate commit log " + path +
+                                         ": " + std::strerror(errno));
+    }
+  }
+  result.metrics.makespan = result.schedule.makespan();
+  return result;
 }
 
 }  // namespace
@@ -65,198 +203,9 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
     return fail(std::move(result), "cannot open commit log " + path + ": " +
                                        std::strerror(errno));
   }
-
-  const off_t raw_size = ::lseek(fd, 0, SEEK_END);
-  if (raw_size < 0) {
-    ::close(fd);
-    return fail(std::move(result), "cannot seek commit log " + path + ": " +
-                                       std::strerror(errno));
-  }
-  const std::size_t size = static_cast<std::size_t>(raw_size);
-
-  if (size < kWalHeaderBytes) {
-    // Torn inside the header: nothing was ever durably committed.
-    if (size > 0) {
-      result.tail_truncated = true;
-      result.bytes_truncated = size;
-      if (truncate_file && ::ftruncate(fd, 0) != 0) {
-        const std::string err = std::strerror(errno);
-        ::close(fd);
-        return fail(std::move(result),
-                    "cannot truncate commit log " + path + ": " + err);
-      }
-    }
-    ::close(fd);
-    return result;
-  }
-
-  std::vector<char> data(size);
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n =
-        ::pread(fd, data.data() + off, size - off, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return fail(std::move(result),
-                  "cannot read commit log " + path + ": " + err);
-    }
-    if (n == 0) break;  // concurrent shrink; treat the rest as torn
-    off += static_cast<std::size_t>(n);
-  }
-  const std::size_t have = off;
-
-  if (std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    ::close(fd);
-    return fail(std::move(result), path + ": not a commit log (bad magic)");
-  }
-  const auto version = get_raw<std::uint32_t>(data.data() + 8);
-  const auto header_machines = get_raw<std::uint32_t>(data.data() + 12);
-  if (version != kWalVersion) {
-    ::close(fd);
-    return fail(std::move(result), path + ": unsupported commit log version " +
-                                       std::to_string(version));
-  }
-  if (header_machines != static_cast<std::uint32_t>(machines)) {
-    ::close(fd);
-    return fail(std::move(result),
-                path + ": commit log is for " +
-                    std::to_string(header_machines) + " machines, expected " +
-                    std::to_string(machines));
-  }
-
-  std::size_t offset = kWalHeaderBytes;
-  std::size_t good_offset = offset;
-  while (offset + kWalFrameBytes <= have) {
-    const auto payload_len = get_raw<std::uint32_t>(data.data() + offset);
-    const auto stored_crc =
-        get_raw<std::uint32_t>(data.data() + offset + sizeof(std::uint32_t));
-    if (!plausible_payload_len(payload_len)) break;
-    if (offset + kWalFrameBytes + payload_len > have) break;
-    const char* payload = data.data() + offset + kWalFrameBytes;
-    if (wal_crc32(payload, payload_len) != stored_crc) break;
-
-    Job job;
-    job.id = static_cast<JobId>(get_raw<std::int64_t>(payload));
-    job.release = get_raw<double>(payload + 8);
-    job.proc = get_raw<double>(payload + 16);
-    job.deadline = get_raw<double>(payload + 24);
-    const int machine = static_cast<int>(get_raw<std::int32_t>(payload + 32));
-    const auto criticality = get_raw<std::uint32_t>(payload + 36);
-    const TimePoint start = get_raw<double>(payload + 40);
-    if (criticality >= kCriticalityCount) {
-      // A class outside the enum passed the CRC: the record is corrupt in
-      // a way framing cannot see, like an illegal commitment.
-      ::close(fd);
-      return fail(std::move(result),
-                  path + ": record " +
-                      std::to_string(result.records_replayed + 1) +
-                      " carries criticality " + std::to_string(criticality) +
-                      ", outside the frozen class range");
-    }
-    job.criticality = static_cast<Criticality>(criticality);
-
-    if (wal_is_control_id(job.id)) {
-      // Capacity control record: replay the resize at exactly this point
-      // of the log, so every subsequent commitment sees the machine pool
-      // the original run committed against. Control records count toward
-      // records_replayed (the replication sequence space) but are not
-      // jobs, so the run metrics ignore them.
-      if (job.id == kWalControlGrow) {
-        if (!result.schedule.uniform_speeds()) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": grow control record under a machine-speed "
-                             "profile; elastic capacity requires identical "
-                             "machines");
-        }
-        if (scheduler != nullptr) {
-          const int grown = scheduler->add_machine();
-          if (grown != machine) {
-            ::close(fd);
-            return fail(std::move(result),
-                        path + ": grow control record names machine " +
-                            std::to_string(machine) +
-                            " but the scheduler grew machine " +
-                            std::to_string(grown) +
-                            "; the replayed resize sequence diverged");
-          }
-        }
-        result.schedule.ensure_machines(machine + 1);
-      } else if (job.id == kWalControlRetireBegin) {
-        if (scheduler != nullptr && !scheduler->begin_retire(machine)) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": retire-begin control record for machine " +
-                          std::to_string(machine) +
-                          " is not applicable to scheduler '" +
-                          scheduler->name() + "'");
-        }
-      } else if (job.id == kWalControlRetireDone) {
-        // The original run observed the drain before logging this, so the
-        // retirement finishes unconditionally on replay.
-        if (scheduler != nullptr && !scheduler->finish_retire(machine)) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": retire-done control record for machine " +
-                          std::to_string(machine) +
-                          " but that machine is not retiring");
-        }
-      } else {
-        ::close(fd);
-        return fail(std::move(result),
-                    path + ": unknown control record id " +
-                        std::to_string(job.id));
-      }
-      ++result.records_replayed;
-      offset += kWalFrameBytes + payload_len;
-      good_offset = offset;
-      continue;
-    }
-
-    const Decision decision = Decision::accept(machine, start);
-    const std::string violation =
-        validate_commitment(result.schedule, job, decision);
-    if (!violation.empty()) {
-      ::close(fd);
-      return fail(std::move(result),
-                  path + ": record " +
-                      std::to_string(result.records_replayed + 1) +
-                      " (job " + std::to_string(job.id) +
-                      ") fails commitment validation: " + violation);
-    }
-    result.schedule.commit(job, machine, start);
-    if (scheduler != nullptr &&
-        !scheduler->restore_commitment(job, machine, start)) {
-      ::close(fd);
-      return fail(std::move(result),
-                  path + ": scheduler '" + scheduler->name() +
-                      "' cannot restore commitments; recovery for it is "
-                      "unsupported");
-    }
-    ++result.records_replayed;
-    ++result.metrics.submitted;
-    ++result.metrics.accepted;
-    result.metrics.accepted_volume += job.proc;
-
-    offset += kWalFrameBytes + payload_len;
-    good_offset = offset;
-  }
-
-  if (good_offset < have) {
-    result.tail_truncated = true;
-    result.bytes_truncated = have - good_offset;
-    if (truncate_file &&
-        ::ftruncate(fd, static_cast<off_t>(good_offset)) != 0) {
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return fail(std::move(result),
-                  "cannot truncate commit log " + path + ": " + err);
-    }
-  }
+  result = replay(fd, path, machines, scheduler, truncate_file,
+                  std::move(result));
   ::close(fd);
-  result.metrics.makespan = result.schedule.makespan();
   return result;
 }
 

@@ -1,9 +1,6 @@
 #include "service/supervisor.hpp"
 
-#include <algorithm>
-
 #include "common/expects.hpp"
-#include "common/rng.hpp"
 
 namespace slacksched {
 
@@ -106,23 +103,6 @@ bool ShardSupervisor::restart_locked(int shard, State& state) {
   return true;
 }
 
-std::chrono::milliseconds ShardSupervisor::restart_delay(int shard,
-                                                         int attempt) const {
-  double delay = static_cast<double>(config_.backoff_initial.count());
-  for (int i = 1; i < attempt; ++i) delay *= config_.backoff_factor;
-  delay = std::min(delay, static_cast<double>(config_.backoff_max.count()));
-  // Deterministic jitter in [0.5, 1.0]: same seed, shard, and attempt
-  // always produce the same delay, so supervised runs replay exactly.
-  SplitMix64 mix(config_.jitter_seed ^
-                 (static_cast<std::uint64_t>(shard) << 32) ^
-                 static_cast<std::uint64_t>(attempt));
-  const double unit =
-      static_cast<double>(mix.next() >> 11) / 9007199254740992.0;  // [0,1)
-  delay *= 0.5 + 0.5 * unit;
-  return std::chrono::milliseconds(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(delay)));
-}
-
 void ShardSupervisor::monitor_loop() {
   std::unique_lock lock(control_mutex_);
   while (!stop_requested_) {
@@ -159,7 +139,7 @@ void ShardSupervisor::tick(std::chrono::steady_clock::time_point now) {
         }
         state.restart_pending = true;
         state.next_restart =
-            now + restart_delay(static_cast<int>(s), state.attempts);
+            now + config_.restart_delay(static_cast<int>(s), state.attempts);
         state.health.store(ShardHealth::kDown, std::memory_order_release);
       } else if (now >= state.next_restart) {
         state.restart_pending = false;

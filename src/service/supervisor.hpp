@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.hpp"
 #include "service/shard.hpp"
 
 namespace slacksched {
@@ -71,6 +72,16 @@ struct SupervisorConfig {
   /// Suggested client back-off returned with a retry_after rejection when
   /// no shard is available.
   std::chrono::milliseconds retry_after{50};
+
+  /// Backoff delay before restart attempt `attempt` (1-based) of `shard`:
+  /// common/backoff.hpp, jittered by the seed mixed with shard and attempt.
+  [[nodiscard]] std::chrono::milliseconds restart_delay(int shard,
+                                                        int attempt) const {
+    return backoff_delay(
+        backoff_initial, backoff_factor, backoff_max, attempt,
+        jitter_seed ^ (static_cast<std::uint64_t>(shard) << 32) ^
+            static_cast<std::uint64_t>(attempt));
+  }
 };
 
 /// Watches a gateway's shards. Health reads are lock-free atomics, safe
@@ -149,10 +160,6 @@ class ShardSupervisor {
 
   void monitor_loop();
   void tick(std::chrono::steady_clock::time_point now);
-  /// Backoff delay before restart attempt `attempt` (1-based) of `shard`,
-  /// exponentially grown, capped, and jittered deterministically.
-  [[nodiscard]] std::chrono::milliseconds restart_delay(int shard,
-                                                        int attempt) const;
   /// Runs Shard::restart under the control mutex and updates counters.
   /// Caller holds control_mutex_.
   bool restart_locked(int shard, State& state);

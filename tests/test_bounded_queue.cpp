@@ -127,6 +127,47 @@ TEST(BoundedQueue, PopBlocksUntilPush) {
   producer.join();
 }
 
+TEST(BoundedQueue, SizeNeverExceedsCapacityUnderConcurrentTraffic) {
+  // size() is read while producers claim and the consumer drains. A
+  // reading that loads the claim cursor before the consume cursor can see
+  // the consumer pass the stale claim cursor, and the subtraction wraps
+  // to ~2^64. Load-shedding and the peak-depth gauge read this value.
+  BoundedMpscQueue<int> q(64);
+  constexpr int kProducers = 4;
+  constexpr int kItemsPerProducer = 200000;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> worst{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::size_t size = q.size();
+      if (size > worst.load(std::memory_order_relaxed)) {
+        worst.store(size, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kItemsPerProducer; ++i) {
+        while (!q.try_push(p * kItemsPerProducer + i)) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  std::size_t consumed = 0;
+  std::vector<int> out;
+  while (consumed < std::size_t{kProducers} * kItemsPerProducer) {
+    consumed += q.pop_batch(out, 16);
+  }
+  for (std::thread& producer : producers) producer.join();
+  done.store(true, std::memory_order_release);
+  sampler.join();
+  EXPECT_LE(worst.load(), q.capacity());
+  EXPECT_EQ(q.size(), 0u);
+}
+
 // ---------- timed pop, reopen ----------
 
 TEST(BoundedQueue, PopBatchForTimesOutOnAnIdleQueue) {

@@ -4,8 +4,14 @@
 // encode_wal_record/wal_crc32 primitives the writer uses, so every framing
 // rule (length plausibility, CRC, short payload) is pinned independently
 // of the writer's behavior.
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +21,9 @@
 
 #include "baselines/greedy.hpp"
 #include "core/threshold.hpp"
+#include "net/admission_client.hpp"
+#include "replication/repl_protocol.hpp"
+#include "replication/replica_server.hpp"
 #include "sched/validator.hpp"
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
@@ -275,6 +284,87 @@ TEST(Recovery, ImplausibleLengthFieldIsATornTailNotACrash) {
   ASSERT_TRUE(recovered.ok) << recovered.error;
   EXPECT_TRUE(recovered.tail_truncated);
   EXPECT_EQ(recovered.records_replayed, 1u);
+}
+
+/// Records a follower keeps after opening `dir`'s shard-0 log: the
+/// watermark its WELCOME reports once the HELLO made it open the file.
+std::uint64_t replica_record_count(const std::string& dir, int machines) {
+  repl::ReplicaServerConfig config;
+  config.dir = dir;
+  repl::ReplicaServer replica(config);
+  const int fd = net::connect_with_timeout("127.0.0.1", replica.port(),
+                                           std::chrono::milliseconds(2000));
+  std::vector<char> bytes;
+  repl::HelloMsg hello;
+  hello.machines = static_cast<std::uint32_t>(machines);
+  hello.leader_records = 1u << 20;
+  repl::encode_hello(bytes, 0, hello);
+  EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  repl::ReplFrameDecoder decoder;
+  repl::ReplFrame frame;
+  while (decoder.next(frame) != repl::ReplFrameDecoder::Status::kFrame) {
+    char buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder.feed(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  std::uint64_t mark = ~std::uint64_t{0};
+  EXPECT_EQ(frame.type, repl::ReplFrameType::kWelcome);
+  EXPECT_TRUE(repl::parse_watermark(frame, mark, nullptr));
+  return mark;
+}
+
+TEST(Recovery, EveryReaderAgreesOnTheCleanPrefix) {
+  // One log, damaged at every byte offset across its last two records —
+  // cut off there, or with that byte flipped. Recovery, the shared
+  // clean-prefix scan and a replication follower reopening the file must
+  // all keep exactly the whole records before the damage.
+  constexpr int kRecords = 6;
+  std::vector<char> log;
+  {
+    const std::string path = wal_path("agree_source");
+    auto writer = CommitLog::open(path, 1);
+    for (int i = 0; i < kRecords; ++i) {
+      writer->append(make_job(i, i, 1.0, 100.0), 0, i);
+    }
+    writer->close();
+    std::ifstream in(path, std::ios::binary);
+    log.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(log.size(), kWalHeaderBytes + kRecords * kWalRecordBytes);
+  const std::string dir = ::testing::TempDir() + "slacksched_agree";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/shard-0.wal";
+
+  const std::size_t first = kWalHeaderBytes + (kRecords - 2) * kWalRecordBytes;
+  for (std::size_t at = first; at < log.size(); ++at) {
+    for (const bool flip : {false, true}) {
+      std::vector<char> damaged(log.begin(),
+                                flip ? log.end() : log.begin() + at);
+      if (flip) damaged[at] = static_cast<char>(~damaged[at]);
+      std::remove(path.c_str());
+      append_bytes(path, damaged);
+      const std::uint64_t expected = (at - kWalHeaderBytes) / kWalRecordBytes;
+      SCOPED_TRACE((flip ? "flip at " : "cut at ") + std::to_string(at));
+
+      const int fd = ::open(path.c_str(), O_RDONLY);
+      ASSERT_GE(fd, 0);
+      const WalScan scan = scan_wal_records(fd, damaged.size());
+      ::close(fd);
+      EXPECT_EQ(scan.records, expected);
+      EXPECT_EQ(scan.torn,
+                flip || (at - kWalHeaderBytes) % kWalRecordBytes != 0);
+
+      const RecoveryResult recovered =
+          recover_commit_log(path, 1, nullptr, /*truncate_file=*/false);
+      ASSERT_TRUE(recovered.ok) << recovered.error;
+      EXPECT_EQ(recovered.records_replayed, expected);
+
+      EXPECT_EQ(replica_record_count(dir, 1), expected);
+    }
+  }
 }
 
 TEST(Recovery, ReadOnlyModeDetectsButDoesNotTruncate) {
