@@ -54,7 +54,6 @@ struct ClientStats {
 
 struct RunStats {
   int loops = 1;
-  bool reuseport = false;
   unsigned connections = 0;
   std::size_t batch = 0;
   std::size_t jobs = 0;
@@ -151,7 +150,6 @@ RunStats run_config(const Instance& instance, int loops,
 
   RunStats run;
   run.loops = loops;
-  run.reuseport = server.using_reuseport();
   run.connections = connections;
   run.batch = batch;
   run.jobs = n;
@@ -202,7 +200,6 @@ void write_json(const std::vector<RunStats>& runs, std::size_t jobs,
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunStats& r = runs[i];
     out << "    {\"loops\": " << r.loops
-        << ", \"reuseport\": " << (r.reuseport ? "true" : "false")
         << ", \"connections\": " << r.connections
         << ", \"batch\": " << r.batch
         << ", \"jobs\": " << r.jobs

@@ -10,12 +10,12 @@
 // Usage: cloud_admission [--machines=4] [--jobs=2000] [--seed=1]
 #include <iostream>
 
-#include "baselines/delayed_commit.hpp"
 #include "baselines/edf_preemptive.hpp"
 #include "baselines/greedy.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
 #include "offline/upper_bound.hpp"
 #include "sched/engine.hpp"
 #include "workload/generators.hpp"
@@ -33,6 +33,12 @@ int main(int argc, char** argv) {
   Table table({"SLA tier (eps)", "volume", "Threshold", "Greedy", "Queue",
                "P-EDF", "frac UB", "Thr guarantee"});
 
+  // Commitment on admission: a job is promised only when it starts.
+  DeltaCommitConfig admission_config;
+  admission_config.machines = machines;
+  admission_config.commit_on_admission = true;
+  DeltaCommitScheduler admission(admission_config);
+
   for (double eps : {0.02, 0.1, 0.5, 1.0}) {
     WorkloadConfig config = scenario("cloud-burst", eps, seed);
     config.n = jobs;
@@ -43,7 +49,7 @@ int main(int argc, char** argv) {
     const double thr = run_online(threshold, instance).metrics.accepted_volume;
     const double grd = run_online(greedy, instance).metrics.accepted_volume;
     const double queue =
-        run_delayed_commit(instance, machines).metrics.accepted_volume;
+        run_online(admission, instance).metrics.accepted_volume;
     const double pedf =
         run_edf_preemptive(instance, machines).metrics.accepted_volume;
     const double ub = preemptive_fractional_upper_bound(instance, machines);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/expects.hpp"
+#include "sched/validator.hpp"
 
 namespace slacksched {
 
@@ -30,32 +31,6 @@ LowerBoundGame::LowerBoundGame(const AdversaryConfig& config)
   SLACKSCHED_EXPECTS(config.beta >= std::ldexp(100.0 * kTimeEps, config.m));
   SLACKSCHED_EXPECTS(config.beta < 0.25);
 }
-
-namespace {
-
-/// Throws unless the decision is a legal commitment for the job.
-void enforce_legal(const Schedule& schedule, const Job& job,
-                   const Decision& decision) {
-  if (!decision.accepted) return;
-  if (decision.machine < 0 || decision.machine >= schedule.machines()) {
-    throw PostconditionError("adversary: algorithm committed to machine " +
-                             std::to_string(decision.machine));
-  }
-  if (definitely_less(decision.start, job.release)) {
-    throw PostconditionError("adversary: " + job.to_string() +
-                             " committed before its release");
-  }
-  if (definitely_greater(decision.start + job.proc, job.deadline)) {
-    throw PostconditionError("adversary: " + job.to_string() +
-                             " committed past its deadline");
-  }
-  if (!schedule.interval_free(decision.machine, decision.start, job.proc)) {
-    throw PostconditionError("adversary: " + job.to_string() +
-                             " overlaps an earlier commitment");
-  }
-}
-
-}  // namespace
 
 GameResult LowerBoundGame::play(OnlineScheduler& algorithm) const {
   SLACKSCHED_EXPECTS(algorithm.machines() == config_.m);
@@ -85,7 +60,9 @@ GameResult LowerBoundGame::play(OnlineScheduler& algorithm) const {
     job.proc = proc;
     job.deadline = deadline;
     const Decision decision = algorithm.on_arrival(job);
-    enforce_legal(result.online_schedule, job, decision);
+    const std::string violation =
+        validate_commitment(result.online_schedule, job, decision);
+    if (!violation.empty()) throw PostconditionError("adversary: " + violation);
     if (decision.accepted) {
       result.online_schedule.commit(job, decision.machine, decision.start);
     }

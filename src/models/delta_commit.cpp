@@ -19,6 +19,18 @@ std::string compact(double value) {
 
 }  // namespace
 
+std::string to_string(QueuePolicy policy) {
+  switch (policy) {
+    case QueuePolicy::kEdf:
+      return "edf";
+    case QueuePolicy::kLargestFirst:
+      return "largest-first";
+    case QueuePolicy::kLeastSlackFirst:
+      return "least-slack";
+  }
+  return "unknown";
+}
+
 DeltaCommitScheduler::DeltaCommitScheduler(const DeltaCommitConfig& config)
     : config_(config),
       profile_(config.speeds.empty() ? SpeedProfile(config.machines)
@@ -78,7 +90,7 @@ TimePoint DeltaCommitScheduler::last_startable(const Job& job) const {
   return contract_.latest_start(job);
 }
 
-int DeltaCommitScheduler::pick_startable_on(int machine, TimePoint now) const {
+int DeltaCommitScheduler::pick_startable(int machine, TimePoint now) const {
   int best = -1;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const Job& j = pending_[i];
@@ -202,14 +214,11 @@ void DeltaCommitScheduler::step(TimePoint now,
     }
   }
 
-  // 3. Start work on every idle machine — the exact loop of
-  //    run_delayed_commit, sharing its pick_startable on uniform speeds.
+  // 3. Start work on every idle machine, best startable job first.
   for (int machine = 0; machine < config_.machines && !pending_.empty();
        ++machine) {
     while (approx_le(frontier_.frontier(machine), now)) {
-      const int idx = frontier_.uniform_speeds()
-                          ? pick_startable(pending_, now, config_.queue)
-                          : pick_startable_on(machine, now);
+      const int idx = pick_startable(machine, now);
       if (idx < 0) break;
       const Job job = pending_[static_cast<std::size_t>(idx)];
       pending_.erase(pending_.begin() + idx);

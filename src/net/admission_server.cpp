@@ -39,29 +39,14 @@ void set_nodelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Opens a bound, listening, non-blocking IPv4 socket. When `reuseport`
-/// is requested and the kernel refuses the option, `reuseport_ok` (when
-/// non-null) is cleared and the listener proceeds without it — the caller
-/// falls back to single-acceptor handoff; with a null `reuseport_ok` the
-/// refusal throws (the fallback decision was already made).
+/// Opens a bound, listening, non-blocking IPv4 socket.
 int open_listener(const std::string& address, std::uint16_t port,
-                  int backlog, bool reuseport, bool* reuseport_ok) {
+                  int backlog) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
   int one = 1;
   (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      if (reuseport_ok == nullptr) {
-        const int saved = errno;
-        ::close(fd);
-        errno = saved;
-        throw_errno("setsockopt(SO_REUSEPORT)");
-      }
-      *reuseport_ok = false;
-    }
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -153,15 +138,10 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
   }
 
   try {
-    // Accept distribution. Preferred: one SO_REUSEPORT listener per loop,
-    // the kernel spreading connections across them. Fallback (option
-    // refused, or configured off): loop 0 owns the only listener and
-    // hands accepted fds round-robin to the other loops.
-    const bool want_reuseport = config_.so_reuseport && config_.loops > 1;
-    bool option_ok = want_reuseport;
+    // Accept distribution: loop 0 owns the only listener and hands
+    // accepted fds round-robin to the other loops.
     loops_[0]->listen_fd =
-        open_listener(config_.bind_address, config_.port, config_.backlog,
-                      want_reuseport, &option_ok);
+        open_listener(config_.bind_address, config_.port, config_.backlog);
     sockaddr_in bound{};
     socklen_t bound_len = sizeof(bound);
     if (::getsockname(loops_[0]->listen_fd,
@@ -169,14 +149,6 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
       throw_errno("getsockname");
     }
     port_ = ntohs(bound.sin_port);
-    reuseport_ = want_reuseport && option_ok;
-    if (reuseport_) {
-      for (std::size_t i = 1; i < n_loops; ++i) {
-        loops_[i]->listen_fd =
-            open_listener(config_.bind_address, port_, config_.backlog,
-                          /*reuseport=*/true, /*reuseport_ok=*/nullptr);
-      }
-    }
 
     for (auto& loop_ptr : loops_) {
       EventLoop& loop = *loop_ptr;
@@ -377,7 +349,7 @@ void AdmissionServer::event_loop(EventLoop& loop) {
       if (tag == kEventFdTag) {
         std::uint64_t signal = 0;
         (void)::read(loop.event_fd, &signal, sizeof(signal));
-        if (!reuseport_ && loops_.size() > 1) {  // handoff mode only
+        if (loops_.size() > 1) {  // adopt handed-off connections
           std::vector<int> adopted;
           {
             std::lock_guard lock(loop.handoff_mutex);
@@ -444,9 +416,9 @@ void AdmissionServer::accept_ready(EventLoop& loop) {
       accept_errors_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (!reuseport_ && loops_.size() > 1) {
-      // Single-acceptor fallback: round-robin the new connection across
-      // loops; remote loops adopt it on their next eventfd wake.
+    if (loops_.size() > 1) {
+      // Single acceptor: round-robin the new connection across loops;
+      // remote loops adopt it on their next eventfd wake.
       EventLoop& target = *loops_[handoff_cursor_++ % loops_.size()];
       if (&target != &loop) {
         {

@@ -5,8 +5,7 @@
 /// loops (AdmissionServerConfig::loops); each loop owns its own epoll set,
 /// eventfd, connections, pending-reply map and outbox, so loops never
 /// contend on shared state. Connections are partitioned across loops at
-/// accept time — by per-loop SO_REUSEPORT listeners when the kernel
-/// supports them, else by round-robin handoff from a single acceptor —
+/// accept time by round-robin handoff from a single acceptor on loop 0,
 /// and every gateway decision is routed straight to the owning loop via
 /// the submission's route_ctx (the loop index), where DECISION frames are
 /// coalesced per wake-up and flushed with writev. The decision hot path
@@ -57,11 +56,6 @@ struct AdmissionServerConfig {
   /// one loop for its whole life. 1 reproduces the original single-loop
   /// server exactly.
   int loops = 1;
-  /// Distribute accepts via per-loop SO_REUSEPORT listeners (the kernel
-  /// balances new connections across loops). When false — or when the
-  /// platform refuses the option — a single acceptor on loop 0 hands
-  /// accepted fds to the other loops round-robin through their eventfds.
-  bool so_reuseport = true;
   /// Cap on a buffered HTTP request head; longer requests are closed.
   std::size_t max_http_request = 8192;
   /// Close a connection once this long has passed without traffic in
@@ -142,12 +136,6 @@ class AdmissionServer {
   /// The configured loop count.
   [[nodiscard]] int loops() const { return config_.loops; }
 
-  /// True when accepts are balanced by per-loop SO_REUSEPORT listeners;
-  /// false when the single-acceptor round-robin handoff is in use
-  /// (config.so_reuseport false, loops == 1, or the kernel refused the
-  /// socket option).
-  [[nodiscard]] bool using_reuseport() const { return reuseport_; }
-
  private:
   struct Connection {
     int fd = -1;
@@ -197,16 +185,15 @@ class AdmissionServer {
     }
   };
 
-  /// One shared-nothing event loop: epoll set, wake eventfd, optional
-  /// SO_REUSEPORT listener, the connections it owns, and the reply-path
+  /// One shared-nothing event loop: epoll set, wake eventfd, the listener
+  /// (loop 0 only), the connections it owns, and the reply-path
   /// state shard threads hand decisions to. Everything without a mutex is
   /// loop-thread-only.
   struct EventLoop {
     int index = 0;
     int epoll_fd = -1;
     int event_fd = -1;  ///< wakes the loop: outbox, handoff, shutdown
-    /// This loop's SO_REUSEPORT listener, or (handoff mode) the shared
-    /// listener on loop 0 and -1 elsewhere.
+    /// The listener on loop 0, -1 elsewhere.
     int listen_fd = -1;
     std::thread thread;
 
@@ -238,7 +225,7 @@ class AdmissionServer {
     std::mutex outbox_mutex;
     Outbox outbox;
 
-    // --- shared with the acceptor loop (handoff mode only) ---
+    // --- shared with the acceptor loop ---
     std::mutex handoff_mutex;
     std::vector<int> handoff;
   };
@@ -302,8 +289,7 @@ class AdmissionServer {
   AdmissionServerConfig config_;
   std::unique_ptr<AdmissionGateway> gateway_;
   std::uint16_t port_ = 0;
-  bool reuseport_ = false;
-  /// Handoff mode: loop 0's round-robin cursor over the loops.
+  /// Loop 0's round-robin cursor over the loops.
   std::uint64_t handoff_cursor_ = 0;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<bool> stop_{false};

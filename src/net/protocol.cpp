@@ -1,6 +1,7 @@
 #include "net/protocol.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <type_traits>
 
@@ -56,6 +57,23 @@ Job get_job(const char** cursor) {
   return job;
 }
 
+/// The SUBMIT field rule: finite fields, release >= 0, proc > 0 and
+/// deadline > release — a job every scheduler can decide. A frame that
+/// breaks it is a protocol error, never a job handed to a shard.
+bool submitted_job_valid(const Job& job, const char* what,
+                         std::string* error) {
+  if (job.structurally_valid() && std::isfinite(job.release) &&
+      std::isfinite(job.proc) && std::isfinite(job.deadline)) {
+    return true;
+  }
+  if (error != nullptr) {
+    *error = std::string(what) + " job " + job.to_string() +
+             " breaks the field rule (finite, release >= 0, proc > 0, "
+             "deadline > release)";
+  }
+  return false;
+}
+
 }  // namespace
 
 void encode_submit(std::vector<char>& out, const SubmitMsg& msg) {
@@ -108,7 +126,8 @@ bool parse_submit(const Frame& frame, SubmitMsg& out, std::string* error) {
   out.job = Job{};
   return parse_fields(frame.payload, "SUBMIT", error, out.request_id,
                       out.job.id, out.job.release, out.job.proc,
-                      out.job.deadline);
+                      out.job.deadline) &&
+         submitted_job_valid(out.job, "SUBMIT", error);
 }
 
 bool parse_submit_batch(const Frame& frame, std::uint64_t& base_request_id,
@@ -142,6 +161,9 @@ bool parse_submit_batch_into(const Frame& frame,
     }
   } else {
     for (std::uint32_t i = 0; i < count; ++i) jobs[i] = get_job(&cursor);
+  }
+  for (const Job& job : jobs) {
+    if (!submitted_job_valid(job, "SUBMIT_BATCH", error)) return false;
   }
   return true;
 }

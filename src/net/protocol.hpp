@@ -140,6 +140,12 @@ void encode_pong(std::vector<char>& out, std::uint64_t token);
 void encode_error(std::vector<char>& out, std::string_view message);
 
 // --- payload parsers: false (with *error set) on malformed payloads ---
+//
+// The SUBMIT parsers also enforce the field rule on every job: release,
+// proc and deadline finite, release >= 0, proc > 0, deadline > release
+// (Job::structurally_valid). A job that breaks it fails the parse, naming
+// the job, so the server answers the frame with ERROR instead of handing
+// a shard a job its scheduler refuses.
 
 [[nodiscard]] bool parse_submit(const Frame& frame, SubmitMsg& out,
                                 std::string* error);
@@ -153,7 +159,8 @@ void encode_error(std::vector<char>& out, std::string_view message);
 /// whole array is one memcpy; otherwise it decodes field by field. The
 /// server's ingest path calls this with a per-loop scratch vector so a
 /// SUBMIT_BATCH reaches the gateway's span ingest with zero per-frame
-/// allocations. Semantically identical to parse_submit_batch.
+/// allocations. Semantically identical to parse_submit_batch. A batch that
+/// fails the field rule leaves `jobs` holding the decoded (rejected) batch.
 [[nodiscard]] bool parse_submit_batch_into(const Frame& frame,
                                            std::uint64_t& base_request_id,
                                            std::vector<Job>& jobs,

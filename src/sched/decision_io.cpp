@@ -6,6 +6,7 @@
 
 #include "common/csv.hpp"
 #include "common/expects.hpp"
+#include "sched/validator.hpp"
 
 namespace slacksched {
 
@@ -60,18 +61,14 @@ std::vector<DecisionRow> read_decisions(std::istream& in) {
 }
 
 Schedule reconstruct_schedule(const Instance& instance,
-                              const std::vector<DecisionRow>& decisions) {
+                              const std::vector<DecisionRow>& decisions,
+                              int machines) {
+  SLACKSCHED_EXPECTS(machines >= 1);
   std::unordered_map<JobId, const Job*> by_id;
   by_id.reserve(instance.size());
-  int max_machine = -1;
   for (const Job& job : instance.jobs()) by_id.emplace(job.id, &job);
-  for (const DecisionRow& row : decisions) {
-    if (row.decision.accepted) {
-      max_machine = std::max(max_machine, row.decision.machine);
-    }
-  }
 
-  Schedule schedule(std::max(1, max_machine + 1));
+  Schedule schedule(machines);
   std::unordered_set<JobId> seen;
   for (const DecisionRow& row : decisions) {
     if (!seen.insert(row.id).second) {
@@ -83,20 +80,15 @@ Schedule reconstruct_schedule(const Instance& instance,
       throw PreconditionError("decision log: unknown job id " +
                               std::to_string(row.id));
     }
-    if (!row.decision.accepted) continue;
     const Job& job = *it->second;
-    if (row.decision.machine < 0) {
-      throw PreconditionError("decision log: accepted job " +
-                              std::to_string(row.id) + " without a machine");
+    const std::string violation =
+        validate_commitment(schedule, job, row.decision);
+    if (!violation.empty()) {
+      throw PreconditionError("decision log: " + violation);
     }
-    if (definitely_less(row.decision.start, job.release) ||
-        definitely_greater(row.decision.start + job.proc, job.deadline) ||
-        !schedule.interval_free(row.decision.machine, row.decision.start,
-                                job.proc)) {
-      throw PreconditionError("decision log: illegal commitment for job " +
-                              std::to_string(row.id));
+    if (row.decision.accepted) {
+      schedule.commit(job, row.decision.machine, row.decision.start);
     }
-    schedule.commit(job, row.decision.machine, row.decision.start);
   }
   return schedule;
 }

@@ -31,12 +31,14 @@ struct DecisionRow {
 /// malformed input.
 [[nodiscard]] std::vector<DecisionRow> read_decisions(std::istream& in);
 
-/// Replays a decision log against its instance: every row must reference
-/// an instance job (each at most once), and every acceptance must be a
-/// legal commitment (release/deadline/no overlap). Returns the committed
+/// Replays a decision log against its instance on `machines` identical
+/// machines: every row must reference an instance job (each at most once),
+/// and every acceptance must be a legal commitment under
+/// validate_commitment (sched/validator.hpp). Returns the committed
 /// schedule; throws PreconditionError on any inconsistency.
 [[nodiscard]] Schedule reconstruct_schedule(
-    const Instance& instance, const std::vector<DecisionRow>& decisions);
+    const Instance& instance, const std::vector<DecisionRow>& decisions,
+    int machines);
 
 /// Convenience file variants.
 void write_decisions_file(const std::string& path,

@@ -66,34 +66,39 @@ void StreamingRunner::drain_resolutions(TimePoint now) {
 
 void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
   sync_machines();
-  if (options_.record_decisions) {
-    result_.decisions.push_back({resolution.job, resolution.decision});
+  const bool legal =
+      apply(resolution.job, resolution.decision,
+            validate_commitment(result_.schedule, resolution.job,
+                                resolution.decision, resolution.decided_at,
+                                contract_));
+  if (legal && resolution_hook_) {
+    resolution_hook_(resolution.job, resolution.decision,
+                     resolution.decided_at);
   }
-  const std::string violation =
-      validate_commitment(result_.schedule, resolution.job,
-                          resolution.decision, resolution.decided_at,
-                          contract_);
+}
+
+bool StreamingRunner::apply(const Job& job, const Decision& decision,
+                            const std::string& violation) {
+  if (options_.record_decisions) result_.decisions.push_back({job, decision});
   if (!violation.empty()) {
     if (result_.commitment_violation.empty()) {
       result_.commitment_violation = violation;
     }
     if (options_.halt_on_violation) halted_ = true;
-    return;  // skip the illegal commitment
+    return false;  // skip the illegal commitment
   }
-  if (resolution.decision.accepted) {
-    if (commit_hook_) commit_hook_(resolution.job, resolution.decision);
-    result_.schedule.commit(resolution.job, resolution.decision.machine,
-                            resolution.decision.start);
+  if (decision.accepted) {
+    // Write-ahead ordering: the durability hook runs before the in-memory
+    // commit, so every commit that becomes visible is already logged.
+    if (commit_hook_) commit_hook_(job, decision);
+    result_.schedule.commit(job, decision.machine, decision.start);
     ++result_.metrics.accepted;
-    result_.metrics.accepted_volume += resolution.job.proc;
+    result_.metrics.accepted_volume += job.proc;
   } else {
     ++result_.metrics.rejected;
-    result_.metrics.rejected_volume += resolution.job.proc;
+    result_.metrics.rejected_volume += job.proc;
   }
-  if (resolution_hook_) {
-    resolution_hook_(resolution.job, resolution.decision,
-                     resolution.decided_at);
-  }
+  return true;
 }
 
 FeedOutcome StreamingRunner::feed(const Job& job) {
@@ -115,33 +120,9 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
     outcome.legal = true;
     return outcome;
   }
-  if (options_.record_decisions) {
-    result_.decisions.push_back({job, outcome.decision});
-  }
-
-  const std::string violation =
-      validate_commitment(result_.schedule, job, outcome.decision);
-  if (!violation.empty()) {
-    if (result_.commitment_violation.empty()) {
-      result_.commitment_violation = violation;
-    }
-    if (options_.halt_on_violation) halted_ = true;
-    return outcome;  // skip the illegal commitment
-  }
-  outcome.legal = true;
-
-  if (outcome.decision.accepted) {
-    // Write-ahead ordering: the durability hook runs before the in-memory
-    // commit, so every commit that becomes visible is already logged.
-    if (commit_hook_) commit_hook_(job, outcome.decision);
-    result_.schedule.commit(job, outcome.decision.machine,
-                            outcome.decision.start);
-    ++result_.metrics.accepted;
-    result_.metrics.accepted_volume += job.proc;
-  } else {
-    ++result_.metrics.rejected;
-    result_.metrics.rejected_volume += job.proc;
-  }
+  outcome.legal =
+      apply(job, outcome.decision,
+            validate_commitment(result_.schedule, job, outcome.decision));
   return outcome;
 }
 

@@ -157,6 +157,13 @@ class StreamingRunner {
   void drain_resolutions(TimePoint now);
   void apply_resolution(const DeferredResolution& resolution);
 
+  /// The one apply step of every binding decision, whether fed or
+  /// resolved: records it, then either marks the run poisoned (non-empty
+  /// `violation`) or runs the write-ahead hook, commits and counts.
+  /// Returns true iff the decision was legal and applied.
+  bool apply(const Job& job, const Decision& decision,
+             const std::string& violation);
+
   /// Grows the committed schedule to match an elastically grown scheduler.
   void sync_machines();
 

@@ -1,6 +1,7 @@
 #include "sched/validator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -21,6 +22,11 @@ std::string validate_commitment(const Schedule& schedule, const Job& job,
   if (decision.machine < 0 || decision.machine >= schedule.machines()) {
     return job.to_string() + ": machine index " +
            std::to_string(decision.machine) + " out of range";
+  }
+  // A NaN start would slip past every definitely_* comparison below.
+  if (!std::isfinite(decision.start)) {
+    return job.to_string() + ": committed start " +
+           std::to_string(decision.start) + " is not finite";
   }
   if (definitely_less(decision.start, job.release)) {
     return job.to_string() + ": committed start " +

@@ -40,12 +40,14 @@ struct ValidationReport {
 
 /// Checks a single admission decision against the already-committed
 /// schedule: a rejecting decision is always legal; an accepting decision
-/// must name a machine in range, start no earlier than the job's release,
-/// complete by its deadline, and not overlap earlier commitments on that
-/// machine. Returns a description of the first violation, or an empty
-/// string when the commitment is legal. This is the single legality path
-/// shared by the sequential engine (sched/engine.cpp) and the sharded
-/// gateway (service/shard.cpp).
+/// must name a machine in range, start at a finite time no earlier than
+/// the job's release, complete by its deadline (at that machine's speed),
+/// and not overlap earlier commitments on that machine. Returns a
+/// description of the first violation, or an empty string when the
+/// commitment is legal. This is the only legality rule: the engine and
+/// everything built on StreamingRunner (gateway shards, the simulator),
+/// WAL recovery, the adversary game and the decision-log audit
+/// (sched/decision_io.hpp) all call it.
 [[nodiscard]] std::string validate_commitment(const Schedule& schedule,
                                               const Job& job,
                                               const Decision& decision);

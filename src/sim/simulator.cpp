@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <queue>
 
 #include "common/expects.hpp"
@@ -39,120 +38,98 @@ void Simulator::add_observer(SimObserver* observer) {
 
 namespace {
 
-/// Heap entry ordered by (time, kind priority, sequence). At equal time,
-/// completions precede starts precede submissions: a machine frees before
-/// the next arrival at the same instant sees it, mirroring the engine's
-/// outstanding-load convention.
+/// A queued start or completion, ordered by (time, kind, sequence). At
+/// equal time a completion precedes a start, and both precede the
+/// submission and decision events of that instant (emitted once the queue
+/// is drained up to it): a machine frees before the next arrival at the
+/// same instant sees it, mirroring the engine's outstanding-load
+/// convention.
 struct PendingEvent {
   SimEvent event;
-  int kind_priority;
   std::size_t sequence;
 };
 
 struct PendingCompare {
   bool operator()(const PendingEvent& a, const PendingEvent& b) const {
     if (a.event.time != b.event.time) return a.event.time > b.event.time;
-    if (a.kind_priority != b.kind_priority)
-      return a.kind_priority > b.kind_priority;
+    const bool a_start = a.event.type == SimEventType::kStarted;
+    const bool b_start = b.event.type == SimEventType::kStarted;
+    if (a_start != b_start) return a_start;
     return a.sequence > b.sequence;
   }
 };
-
-int priority_of(SimEventType type) {
-  switch (type) {
-    case SimEventType::kCompleted:
-      return 0;
-    case SimEventType::kStarted:
-      return 1;
-    case SimEventType::kSubmitted:
-    case SimEventType::kAccepted:
-    case SimEventType::kRejected:
-      return 2;
-  }
-  return 3;
-}
 
 }  // namespace
 
 RunResult Simulator::run(const Instance& instance) {
   for (SimObserver* observer : observers_) observer->on_start();
 
-  // The decision part replays the engine verbatim; start/completion
-  // events derived from the commitments merge into the stream.
-  RunResult result{Schedule(scheduler_.machines()), RunMetrics{}, {}, {}};
-  result.decisions.reserve(instance.size());
-  scheduler_.reset();
-
   std::priority_queue<PendingEvent, std::vector<PendingEvent>,
                       PendingCompare>
       queue;
   std::size_t sequence = 0;
-  auto push = [&](const SimEvent& event) {
-    queue.push({event, priority_of(event.type), sequence++});
+  auto emit = [&](const SimEvent& event) {
+    for (SimObserver* observer : observers_) observer->on_event(event);
   };
   auto drain_until = [&](TimePoint time) {
     while (!queue.empty() && queue.top().event.time <= time + kTimeEps) {
       const SimEvent event = queue.top().event;
       queue.pop();
-      for (SimObserver* observer : observers_) observer->on_event(event);
+      emit(event);
     }
   };
 
-  for (const Job& job : instance.jobs()) {
-    drain_until(job.release);
+  // Every decision, check, deferral and count comes from the engine; this
+  // loop only turns the applied decisions into events.
+  StreamingRunner runner(scheduler_);
+  runner.reserve_decisions(instance.size());
+  auto decided = [&](const Job& job, const Decision& decision,
+                     TimePoint decided_at) {
+    drain_until(decided_at);
+    SimEvent outcome;
+    outcome.time = decided_at;
+    outcome.job = job;
+    if (!decision.accepted) {
+      outcome.type = SimEventType::kRejected;
+      emit(outcome);
+      return;
+    }
+    outcome.type = SimEventType::kAccepted;
+    outcome.machine = decision.machine;
+    outcome.start = decision.start;
+    emit(outcome);
 
+    SimEvent started = outcome;
+    started.type = SimEventType::kStarted;
+    started.time = decision.start;
+    queue.push({started, sequence++});
+    SimEvent completed = outcome;
+    completed.type = SimEventType::kCompleted;
+    completed.time = decision.start + runner.result().schedule.exec_time(
+                                          decision.machine, job.proc);
+    queue.push({completed, sequence++});
+  };
+  runner.set_resolution_hook(decided);
+
+  for (const Job& job : instance.jobs()) {
+    // Deferred decisions that became binding before this arrival reach
+    // `decided` from inside feed(), ahead of the submission event.
+    const FeedOutcome fed = runner.feed(job);
+    if (!fed.decided) break;
+    drain_until(job.release);
     SimEvent submitted;
     submitted.type = SimEventType::kSubmitted;
     submitted.time = job.release;
     submitted.job = job;
-    for (SimObserver* observer : observers_) observer->on_event(submitted);
-
-    const Decision decision = scheduler_.on_arrival(job);
-    result.decisions.push_back({job, decision});
-    ++result.metrics.submitted;
-
-    SimEvent outcome;
-    outcome.time = job.release;
-    outcome.job = job;
-    if (decision.accepted) {
-      // Engine-equivalent legality checks.
-      if (decision.machine < 0 ||
-          decision.machine >= result.schedule.machines() ||
-          definitely_less(decision.start, job.release) ||
-          definitely_greater(decision.start + job.proc, job.deadline) ||
-          !result.schedule.interval_free(decision.machine, decision.start,
-                                         job.proc)) {
-        result.commitment_violation =
-            job.to_string() + ": illegal commitment " + decision.to_string();
-        break;
-      }
-      result.schedule.commit(job, decision.machine, decision.start);
-      ++result.metrics.accepted;
-      result.metrics.accepted_volume += job.proc;
-
-      outcome.type = SimEventType::kAccepted;
-      outcome.machine = decision.machine;
-      outcome.start = decision.start;
-      for (SimObserver* observer : observers_) observer->on_event(outcome);
-
-      SimEvent started = outcome;
-      started.type = SimEventType::kStarted;
-      started.time = decision.start;
-      push(started);
-      SimEvent completed = outcome;
-      completed.type = SimEventType::kCompleted;
-      completed.time = decision.start + job.proc;
-      push(completed);
-    } else {
-      ++result.metrics.rejected;
-      result.metrics.rejected_volume += job.proc;
-      outcome.type = SimEventType::kRejected;
-      for (SimObserver* observer : observers_) observer->on_event(outcome);
+    emit(submitted);
+    if (fed.legal && !fed.decision.deferred) {
+      decided(job, fed.decision, job.release);
     }
+    if (runner.halted()) break;
   }
+  RunResult result = runner.finish();
   drain_until(kTimeInfinity);
 
-  result.metrics.makespan = result.schedule.makespan();
   for (SimObserver* observer : observers_) observer->on_finish(result.metrics);
   return result;
 }

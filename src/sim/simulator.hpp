@@ -1,7 +1,9 @@
-// The event simulator: drives an OnlineScheduler over an instance exactly
-// like sched/engine.hpp (identical decisions and metrics — asserted by
-// tests), but additionally materializes starts/completions as events and
-// delivers the merged, time-ordered stream to registered observers.
+// The event simulator: runs an OnlineScheduler over an instance through
+// the engine's StreamingRunner (sched/engine.hpp), so decisions, legality
+// checks, deferral, machine speeds, metrics and halting are the engine's
+// own, and additionally materializes each applied decision as events
+// (submitted, accepted/rejected at the decision time, started, completed)
+// delivered as one time-ordered stream to registered observers.
 #pragma once
 
 #include <vector>
@@ -21,7 +23,8 @@ class Simulator {
   void add_observer(SimObserver* observer);
 
   /// Runs the scheduler over the instance, streaming events to the
-  /// observers. Returns the same RunResult the engine would.
+  /// observers. Returns exactly run_online's RunResult, for every
+  /// scheduler — deferred-commitment and related-machine ones included.
   RunResult run(const Instance& instance);
 
  private:

@@ -19,8 +19,8 @@
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
+#include "oracles/bounded_queue_reference.hpp"
 #include "service/bounded_queue.hpp"
-#include "service/bounded_queue_reference.hpp"
 
 namespace slacksched {
 namespace {

@@ -38,7 +38,7 @@ TEST(DecisionIo, RoundTripReconstructsTheSchedule) {
   const auto rows = read_decisions(in);
   ASSERT_EQ(rows.size(), run.decisions.size());
 
-  const Schedule rebuilt = reconstruct_schedule(instance, rows);
+  const Schedule rebuilt = reconstruct_schedule(instance, rows, 3);
   EXPECT_DOUBLE_EQ(rebuilt.total_volume(), run.schedule.total_volume());
   EXPECT_EQ(rebuilt.job_count(), run.schedule.job_count());
   EXPECT_TRUE(validate_schedule(instance, rebuilt).ok);
@@ -77,7 +77,7 @@ TEST(DecisionIo, ReconstructionRejectsUnknownJob) {
   Instance instance;
   (void)sample_run(5, &instance);
   std::vector<DecisionRow> rows{{999999, Decision::accept(0, 0.0)}};
-  EXPECT_THROW((void)reconstruct_schedule(instance, rows),
+  EXPECT_THROW((void)reconstruct_schedule(instance, rows, 3),
                PreconditionError);
 }
 
@@ -87,7 +87,7 @@ TEST(DecisionIo, ReconstructionRejectsDuplicates) {
   std::vector<DecisionRow> rows;
   rows.push_back({run.decisions.front().job.id, Decision::reject()});
   rows.push_back({run.decisions.front().job.id, Decision::reject()});
-  EXPECT_THROW((void)reconstruct_schedule(instance, rows),
+  EXPECT_THROW((void)reconstruct_schedule(instance, rows, 3),
                PreconditionError);
 }
 
@@ -100,7 +100,7 @@ TEST(DecisionIo, ReconstructionRejectsTamperedStart) {
     std::vector<DecisionRow> rows{
         {record.job.id,
          Decision::accept(record.decision.machine, record.job.deadline)}};
-    EXPECT_THROW((void)reconstruct_schedule(instance, rows),
+    EXPECT_THROW((void)reconstruct_schedule(instance, rows, 3),
                  PreconditionError);
     break;
   }
@@ -117,8 +117,16 @@ TEST(DecisionIo, ReconstructionRejectsOverlap) {
   const Instance instance({a, b});
   std::vector<DecisionRow> rows{{1, Decision::accept(0, 0.0)},
                                 {2, Decision::accept(0, 2.0)}};
-  EXPECT_THROW((void)reconstruct_schedule(instance, rows),
+  EXPECT_THROW((void)reconstruct_schedule(instance, rows, 1),
                PreconditionError);
+  // A non-finite start and a machine beyond the fleet are illegal too.
+  for (const char* row : {"1,1,0,nan", "1,1,50000000,0"}) {
+    std::istringstream in(std::string("id,accepted,machine,start\n") + row +
+                          "\n");
+    EXPECT_THROW((void)reconstruct_schedule(instance, read_decisions(in), 1),
+                 PreconditionError)
+        << row;
+  }
 }
 
 // ---------- parser fuzzing ----------

@@ -1,4 +1,4 @@
-#include "baselines/delayed_commit.hpp"
+#include "oracles/delayed_commit.hpp"
 
 #include <gtest/gtest.h>
 

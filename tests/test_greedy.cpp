@@ -6,9 +6,9 @@
 #include <tuple>
 #include <vector>
 
-#include "baselines/greedy_reference.hpp"
 #include "common/expects.hpp"
 #include "common/rng.hpp"
+#include "oracles/greedy_reference.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "adversary/lower_bound_game.hpp"
-#include "baselines/delayed_commit.hpp"
 #include "baselines/edf_preemptive.hpp"
 #include "baselines/greedy.hpp"
 #include "common/thread_pool.hpp"
@@ -16,6 +15,7 @@
 #include "core/threshold.hpp"
 #include "offline/exact.hpp"
 #include "offline/upper_bound.hpp"
+#include "oracles/delayed_commit.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"

@@ -18,11 +18,11 @@
 
 #include <vector>
 
-#include "baselines/delayed_commit.hpp"
 #include "baselines/greedy.hpp"
 #include "core/threshold.hpp"
 #include "models/delta_commit.hpp"
 #include "models/speed_profile.hpp"
+#include "oracles/delayed_commit.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"

@@ -13,10 +13,12 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -302,6 +304,11 @@ class RawConn {
         ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1);
     SLACKSCHED_EXPECTS(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                                  sizeof(addr)) == 0);
+    // A server that never answers fails the test instead of hanging it.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    SLACKSCHED_EXPECTS(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                                    sizeof(timeout)) == 0);
   }
   ~RawConn() { ::close(fd_); }
 
@@ -382,6 +389,55 @@ TEST(NetServer, ClientOnlyFramesAreAProtocolError) {
   Frame frame;
   ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
   EXPECT_EQ(frame.type, FrameType::kError);
+}
+
+TEST(NetServer, SubmitBreakingTheFieldRuleGetsErrorFrame) {
+  AdmissionServerConfig config = loopback_config(16);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 2);
+  });
+  Job zero_proc;
+  zero_proc.id = 1;
+  zero_proc.proc = 0.0;
+  zero_proc.deadline = 10.0;
+  Job nan_deadline;
+  nan_deadline.id = 2;
+  nan_deadline.proc = 1.0;
+  nan_deadline.deadline = std::nan("");
+  for (const Job& bad : {zero_proc, nan_deadline}) {
+    RawConn raw(server.port());
+    std::vector<char> bytes;
+    encode_submit(bytes, SubmitMsg{7, bad});
+    raw.send_bytes(bytes.data(), bytes.size());
+    const std::string response = raw.read_to_eof();
+    FrameDecoder decoder;
+    decoder.feed(response.data(), response.size());
+    Frame frame;
+    ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame)
+        << bad.to_string();
+    EXPECT_EQ(frame.type, FrameType::kError);
+    EXPECT_NE(parse_error_message(frame).find("J" + std::to_string(bad.id)),
+              std::string::npos)
+        << parse_error_message(frame);
+  }
+
+  // No shard saw either job: a valid SUBMIT on a new connection is still
+  // answered, and the shard stays healthy.
+  RawConn raw(server.port());
+  Job good;
+  good.id = 3;
+  good.proc = 1.0;
+  good.deadline = 10.0;
+  std::vector<char> bytes;
+  encode_submit(bytes, SubmitMsg{8, good});
+  raw.send_bytes(bytes.data(), bytes.size());
+  const Frame frame = raw.read_frame();
+  ASSERT_EQ(frame.type, FrameType::kDecision);
+  DecisionMsg decision;
+  std::string error;
+  ASSERT_TRUE(parse_decision(frame, decision, &error)) << error;
+  EXPECT_EQ(decision.job_id, good.id);
+  EXPECT_EQ(server.gateway().shard_health(0), ShardHealth::kHealthy);
 }
 
 TEST(NetServer, HttpUnknownPathIs404) {
@@ -756,15 +812,13 @@ TEST(NetServer, MultiLoopDecisionStreamEqualsRunOnline) {
   EXPECT_EQ(drained.makespan, engine.metrics.makespan);
 }
 
-void multi_loop_every_submit_answered(bool so_reuseport) {
+TEST(NetServer, MultiLoopAnswersEverySubmitHandoff) {
   AdmissionServerConfig config = loopback_config(8);
   config.gateway.batch_size = 4;
   config.loops = 4;
-  config.so_reuseport = so_reuseport;
   AdmissionServer server(config, [](int) {
     return std::make_unique<GreedyScheduler>(2);
   });
-  EXPECT_EQ(server.using_reuseport(), so_reuseport);
 
   constexpr int kClients = 8;
   constexpr int kJobsPerClient = 200;
@@ -801,25 +855,15 @@ void multi_loop_every_submit_answered(bool so_reuseport) {
   EXPECT_EQ(result.merged.submitted, total_decided);
 }
 
-TEST(NetServer, MultiLoopAnswersEverySubmitReuseport) {
-  multi_loop_every_submit_answered(true);
-}
-
-TEST(NetServer, MultiLoopAnswersEverySubmitHandoff) {
-  multi_loop_every_submit_answered(false);
-}
-
 TEST(NetServer, DrainPropagatesAcrossLoops) {
-  // Handoff mode hands connections out round-robin, so three sequential
+  // The acceptor hands connections out round-robin, so three sequential
   // connects land on three different loops. A DRAIN on one loop must
   // close the gateway for all of them.
   AdmissionServerConfig config = loopback_config(64);
   config.loops = 3;
-  config.so_reuseport = false;
   AdmissionServer server(config, [](int) {
     return std::make_unique<GreedyScheduler>(2);
   });
-  EXPECT_FALSE(server.using_reuseport());
 
   AdmissionClient a("127.0.0.1", server.port());
   Job job;

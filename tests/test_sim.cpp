@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "baselines/greedy.hpp"
 #include "common/expects.hpp"
 #include "core/threshold.hpp"
+#include "models/model_factory.hpp"
 #include "sched/timeline.hpp"
 #include "sim/observers.hpp"
 #include "workload/generators.hpp"
@@ -31,25 +35,59 @@ Instance tiny_instance() {
                    make_job(3, 5.0, 2.0, 8.0)});
 }
 
-TEST(Simulator, MatchesEngineDecisionsAndMetrics) {
+Instance overload_instance() {
   WorkloadConfig config = scenario("overload", 0.1, 17);
   config.n = 400;
-  const Instance inst = generate_workload(config);
+  return generate_workload(config);
+}
 
-  ThresholdScheduler alg(0.1, 3);
-  const RunResult engine_result = run_online(alg, inst);
-  Simulator simulator(alg);
-  const RunResult sim_result = simulator.run(inst);
+/// The five commitment-model points the simulator must reproduce: the
+/// on-arrival Threshold on identical and on related machines, the greedy
+/// on related machines, and the two deferred models.
+std::vector<ModelConfig> model_points() {
+  ModelConfig threshold;
+  threshold.machines = 3;
+  threshold.eps = 0.1;
+  ModelConfig threshold_speeds = threshold;
+  threshold_speeds.speeds = {1.0, 2.0, 0.5};
+  ModelConfig greedy_speeds = threshold_speeds;
+  greedy_speeds.arrival = ArrivalPolicy::kGreedyBestFit;
+  ModelConfig delta = threshold;
+  delta.model = CommitModel::kDelta;
+  delta.delta = 0.5;
+  ModelConfig admission = threshold;
+  admission.model = CommitModel::kOnAdmission;
+  return {threshold, threshold_speeds, greedy_speeds, delta, admission};
+}
 
-  ASSERT_EQ(sim_result.decisions.size(), engine_result.decisions.size());
-  for (std::size_t i = 0; i < sim_result.decisions.size(); ++i) {
-    EXPECT_EQ(sim_result.decisions[i].decision,
-              engine_result.decisions[i].decision);
+TEST(Simulator, MatchesEngineDecisionsAndMetrics) {
+  const Instance inst = overload_instance();
+  for (const ModelConfig& point : model_points()) {
+    SCOPED_TRACE(point.label() + (point.speeds.empty() ? "" : " with speeds"));
+    const std::unique_ptr<OnlineScheduler> alg = make_scheduler(point);
+    const RunResult engine_result = run_online(*alg, inst);
+    Simulator simulator(*alg);
+    const RunResult sim_result = simulator.run(inst);
+
+    ASSERT_EQ(sim_result.decisions.size(), engine_result.decisions.size());
+    for (std::size_t i = 0; i < sim_result.decisions.size(); ++i) {
+      EXPECT_EQ(sim_result.decisions[i].job, engine_result.decisions[i].job);
+      EXPECT_EQ(sim_result.decisions[i].decision,
+                engine_result.decisions[i].decision);
+    }
+    const RunMetrics& a = sim_result.metrics;
+    const RunMetrics& b = engine_result.metrics;
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.accepted_volume, b.accepted_volume);
+    EXPECT_EQ(a.rejected_volume, b.rejected_volume);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(sim_result.commitment_violation,
+              engine_result.commitment_violation);
+    EXPECT_TRUE(sim_result.clean()) << sim_result.commitment_violation;
+    EXPECT_GT(sim_result.metrics.accepted, 0u);
   }
-  EXPECT_DOUBLE_EQ(sim_result.metrics.accepted_volume,
-                   engine_result.metrics.accepted_volume);
-  EXPECT_DOUBLE_EQ(sim_result.metrics.makespan,
-                   engine_result.metrics.makespan);
 }
 
 TEST(Simulator, EventStreamIsTimeOrdered) {
@@ -66,19 +104,23 @@ TEST(Simulator, EventStreamIsTimeOrdered) {
   }
 }
 
-TEST(Simulator, EventCountsMatchOutcomes) {
-  GreedyScheduler alg(1);
+void expect_event_counts_match_outcomes(OnlineScheduler& alg,
+                                        const Instance& inst) {
   Simulator simulator(alg);
   EventLogObserver log;
   simulator.add_observer(&log);
-  const RunResult result = simulator.run(tiny_instance());
+  const RunResult result = simulator.run(inst);
 
   std::size_t submitted = 0;
   std::size_t accepted = 0;
   std::size_t rejected = 0;
   std::size_t started = 0;
   std::size_t completed = 0;
+  TimePoint last = 0.0;
+  std::map<JobId, TimePoint> started_at;
   for (const SimEvent& event : log.events()) {
+    EXPECT_GE(event.time + kTimeEps, last) << event.to_string();
+    last = event.time;
     switch (event.type) {
       case SimEventType::kSubmitted:
         ++submitted;
@@ -91,9 +133,16 @@ TEST(Simulator, EventCountsMatchOutcomes) {
         break;
       case SimEventType::kStarted:
         ++started;
+        started_at[event.job.id] = event.time;
         break;
       case SimEventType::kCompleted:
         ++completed;
+        // One execution time, at the machine's speed, after the start.
+        ASSERT_EQ(started_at.count(event.job.id), 1u) << event.to_string();
+        EXPECT_EQ(event.time, started_at[event.job.id] +
+                                  result.schedule.exec_time(event.machine,
+                                                            event.job.proc))
+            << event.to_string();
         break;
     }
   }
@@ -102,6 +151,16 @@ TEST(Simulator, EventCountsMatchOutcomes) {
   EXPECT_EQ(rejected, result.metrics.rejected);
   EXPECT_EQ(started, accepted);
   EXPECT_EQ(completed, accepted);
+}
+
+TEST(Simulator, EventCountsMatchOutcomes) {
+  GreedyScheduler alg(1);
+  expect_event_counts_match_outcomes(alg, tiny_instance());
+  const Instance inst = overload_instance();
+  for (const ModelConfig& point : model_points()) {
+    SCOPED_TRACE(point.label() + (point.speeds.empty() ? "" : " with speeds"));
+    expect_event_counts_match_outcomes(*make_scheduler(point), inst);
+  }
 }
 
 TEST(Simulator, CompletionPrecedesArrivalAtSameInstant) {

@@ -13,7 +13,7 @@
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
-#include "core/threshold_reference.hpp"
+#include "oracles/threshold_reference.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"
