@@ -176,8 +176,8 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
     // The gateway comes up after the response plumbing (eventfds, per-loop
     // outboxes) exists: its shard threads may invoke the decision hook as
     // soon as the first job is enqueued. A user-supplied hook is chained,
-    // not replaced. route_ctx carries the owning loop's index from
-    // submit to decision.
+    // not replaced. route_ctx carries the submission's reply-slot token
+    // from submit to decision.
     GatewayConfig gateway_config = config_.gateway;
     GatewayDecisionCallback user_hook = gateway_config.on_decision;
     gateway_config.on_decision =
@@ -258,26 +258,19 @@ void AdmissionServer::wake_loop(EventLoop& loop) {
 void AdmissionServer::on_gateway_decision(const Job& job,
                                           const Decision& decision,
                                           std::uint64_t route_ctx) {
-  // route_ctx is the submitting loop's index; anything else (embedding
-  // processes calling gateway().submit() directly pass 0) resolves to
-  // loop 0, whose pending map simply has no slot for it.
-  EventLoop& loop =
-      *loops_[route_ctx < loops_.size() ? static_cast<std::size_t>(route_ctx)
-                                        : 0];
-  PendingReply reply;
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    auto it = loop.pending.find(job.id);
-    if (it == loop.pending.end() || it->second.empty()) return;
-    reply = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty()) loop.pending.erase(it);
-    // Deliberately NOT the place the owed count drops: this runs on a
-    // shard thread, and a reap tick on the loop thread could land between
-    // this decrement and the outbox drain that actually writes the
-    // DECISION — closing the connection with the reply still staged. The
-    // count drops in drain_outbox, on the loop thread, after delivery.
-  }
+  // Tokens below the loop count name no slot: an embedding process that
+  // calls gateway().submit() directly passes 0, and no connection is owed
+  // that decision.
+  if (route_ctx < loops_.size()) return;
+  EventLoop& loop = *loops_[route_ctx % loops_.size()];
+  const std::uint32_t slot = token_slot(route_ctx);
+  // No lock: the loop wrote the slot before submitting (the shard queue's
+  // release/acquire orders that write before this read) and frees it only
+  // after drain_outbox has taken this entry from the outbox, under the
+  // outbox lock. The owed count drops there too, on the loop thread, so a
+  // reap tick can never see the connection un-owed while its DECISION is
+  // still staged.
+  const ReplySlot& reply = loop.slots[slot];
   DecisionMsg msg;
   msg.request_id = reply.request_id;
   msg.job_id = job.id;
@@ -295,10 +288,49 @@ void AdmissionServer::on_gateway_decision(const Job& job,
     const auto offset = static_cast<std::uint32_t>(loop.outbox.bytes.size());
     encode_decision(loop.outbox.bytes, msg);
     loop.outbox.entries.push_back(Outbox::Entry{
-        reply.conn_id, offset,
+        reply.conn_id, slot, offset,
         static_cast<std::uint32_t>(loop.outbox.bytes.size() - offset)});
   }
   if (wake) wake_loop(loop);
+}
+
+std::uint32_t AdmissionServer::ReplySlots::take() {
+  if (free_.empty()) {
+    // can_take(1) guarantees a chunk is left. Push its slots in reverse so
+    // the lowest index is taken first.
+    chunks_[chunks_used_] = std::make_unique<ReplySlot[]>(kChunkSlots);
+    const auto base = static_cast<std::uint32_t>(chunks_used_ * kChunkSlots);
+    ++chunks_used_;
+    free_.reserve(kChunkSlots);
+    for (std::size_t i = kChunkSlots; i > 0; --i) {
+      free_.push_back(base + static_cast<std::uint32_t>(i - 1));
+    }
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  ++live_;
+  return slot;
+}
+
+void AdmissionServer::ReplySlots::release(std::uint32_t slot) {
+  (*this)[slot].conn_id = 0;
+  free_.push_back(slot);
+  --live_;
+}
+
+std::uint64_t AdmissionServer::open_slot(EventLoop& loop, Connection& conn,
+                                         std::uint64_t request_id,
+                                         JobId job_id) {
+  const std::uint32_t slot = loop.slots.take();
+  loop.slots[slot] = ReplySlot{conn.id, request_id, job_id};
+  ++conn.owed;
+  return slot_token(loop, slot);
+}
+
+void AdmissionServer::close_slot(EventLoop& loop, Connection& conn,
+                                 std::uint64_t token) {
+  loop.slots.release(token_slot(token));
+  --conn.owed;
 }
 
 void AdmissionServer::event_loop(EventLoop& loop) {
@@ -357,12 +389,13 @@ void AdmissionServer::event_loop(EventLoop& loop) {
           }
           for (const int fd : adopted) adopt_connection(loop, fd);
         }
+        // Read the flag BEFORE draining: once another loop's DRAIN has
+        // finished the gateway, every decision is staged in the outbox, so
+        // a drain that follows the load leaves only slots no decision will
+        // ever reach — and those are answered now.
+        const bool drained = drained_.load(std::memory_order_acquire);
         drain_outbox(loop);
-        // Another loop's DRAIN quiesced the gateway: no decision can
-        // arrive for this loop's leftovers either, so answer them now.
-        if (drained_.load(std::memory_order_acquire)) {
-          reject_loop_pending(loop);
-        }
+        if (drained) reject_loop_pending(loop);
         continue;
       }
       auto it = loop.connections.find(tag);
@@ -501,6 +534,10 @@ void AdmissionServer::read_ready(EventLoop& loop, Connection& conn) {
       } else {
         conn.decoder.feed(buf, len);
       }
+      // A short read emptied the socket: decode now instead of paying a
+      // recv that can only say EAGAIN. Level-triggered epoll reports the
+      // fd again if more bytes (or the peer's FIN) arrive.
+      if (len < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {
@@ -624,48 +661,22 @@ RejectMsg AdmissionServer::make_reject(std::uint64_t request_id,
 void AdmissionServer::handle_submit_one(EventLoop& loop, Connection& conn,
                                         std::uint64_t request_id,
                                         const Job& job) {
-  loop.reply_scratch.clear();
-  std::vector<char>& bytes = loop.reply_scratch;
-  if (drained_.load(std::memory_order_acquire)) {
-    encode_reject(bytes,
-                  make_reject(request_id, job.id, Outcome::kRejectedClosed));
-    queue_frame(loop, conn, bytes);
-    return;
-  }
-  // Register the reply slot BEFORE the submit: the shard may render the
-  // decision (and run the hook) before submit() even returns. The owed
-  // count makes the connection reaper-exempt for as long as any decision
-  // is outstanding.
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    loop.pending[job.id].push_back(PendingReply{conn.id, request_id});
-    ++loop.owed[conn.id];
-  }
-  const Outcome status =
-      gateway_->submit(job, static_cast<std::uint64_t>(loop.index));
-  if (status == Outcome::kEnqueued) return;  // DECISION will follow
-  // Shed synchronously: no decision is owed, so take the slot back. The
-  // newest matching entry is ours (a racing decision consumes the oldest).
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    auto it = loop.pending.find(job.id);
-    if (it != loop.pending.end()) {
-      auto& queue = it->second;
-      for (auto rit = queue.rbegin(); rit != queue.rend(); ++rit) {
-        if (rit->conn_id == conn.id && rit->request_id == request_id) {
-          queue.erase(std::next(rit).base());
-          auto owed_it = loop.owed.find(conn.id);
-          if (owed_it != loop.owed.end() && --owed_it->second == 0) {
-            loop.owed.erase(owed_it);
-          }
-          break;
-        }
-      }
-      if (queue.empty()) loop.pending.erase(it);
+  Outcome status = Outcome::kRejectedClosed;
+  if (!drained_.load(std::memory_order_acquire)) {
+    if (!loop.slots.can_take(1)) {
+      status = Outcome::kRejectedQueueFull;
+    } else {
+      // Fill the reply slot BEFORE the submit: the shard may render the
+      // decision (and run the hook) before submit() even returns.
+      const std::uint64_t token = open_slot(loop, conn, request_id, job.id);
+      status = gateway_->submit(job, token);
+      if (status == Outcome::kEnqueued) return;  // DECISION will follow
+      close_slot(loop, conn, token);  // shed synchronously: none will
     }
   }
-  encode_reject(bytes, make_reject(request_id, job.id, status));
-  queue_frame(loop, conn, bytes);
+  loop.reply_scratch.clear();
+  encode_reject(loop.reply_scratch, make_reject(request_id, job.id, status));
+  queue_frame(loop, conn, loop.reply_scratch);
 }
 
 void AdmissionServer::handle_submit_batch(EventLoop& loop, Connection& conn,
@@ -673,54 +684,28 @@ void AdmissionServer::handle_submit_batch(EventLoop& loop, Connection& conn,
                                           std::span<const Job> jobs) {
   loop.reply_scratch.clear();
   std::vector<char>& bytes = loop.reply_scratch;
-  if (drained_.load(std::memory_order_acquire)) {
+  const bool drained = drained_.load(std::memory_order_acquire);
+  if (drained || !loop.slots.can_take(jobs.size())) {
+    const Outcome status =
+        drained ? Outcome::kRejectedClosed : Outcome::kRejectedQueueFull;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      encode_reject(bytes, make_reject(base_request_id + i, jobs[i].id,
-                                       Outcome::kRejectedClosed));
+      encode_reject(bytes,
+                    make_reject(base_request_id + i, jobs[i].id, status));
     }
     queue_bytes(loop, conn, bytes.data(), bytes.size());
     return;
   }
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      loop.pending[jobs[i].id].push_back(
-          PendingReply{conn.id, base_request_id + i});
-    }
-    loop.owed[conn.id] += static_cast<std::uint32_t>(jobs.size());
+  std::vector<std::uint64_t>& tokens = loop.token_scratch;
+  tokens.clear();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    tokens.push_back(open_slot(loop, conn, base_request_id + i, jobs[i].id));
   }
-  (void)gateway_->submit_batch(jobs, &loop.status_scratch,
-                               static_cast<std::uint64_t>(loop.index));
+  (void)gateway_->submit_batch(jobs, &loop.status_scratch, tokens);
   const std::vector<Outcome>& statuses = loop.status_scratch;
-  // Reclaim the slots of synchronously shed jobs and answer them now.
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    std::uint32_t reclaimed = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (statuses[i] == Outcome::kEnqueued) continue;
-      auto it = loop.pending.find(jobs[i].id);
-      if (it == loop.pending.end()) continue;
-      auto& queue = it->second;
-      for (auto rit = queue.rbegin(); rit != queue.rend(); ++rit) {
-        if (rit->conn_id == conn.id &&
-            rit->request_id == base_request_id + i) {
-          queue.erase(std::next(rit).base());
-          ++reclaimed;
-          break;
-        }
-      }
-      if (queue.empty()) loop.pending.erase(it);
-    }
-    if (reclaimed > 0) {
-      auto owed_it = loop.owed.find(conn.id);
-      if (owed_it != loop.owed.end()) {
-        owed_it->second -= std::min(owed_it->second, reclaimed);
-        if (owed_it->second == 0) loop.owed.erase(owed_it);
-      }
-    }
-  }
+  // Give back the slots of synchronously shed jobs and answer them now.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (statuses[i] == Outcome::kEnqueued) continue;
+    close_slot(loop, conn, tokens[i]);
     encode_reject(bytes, make_reject(base_request_id + i, jobs[i].id,
                                      statuses[i]));
   }
@@ -759,29 +744,24 @@ void AdmissionServer::handle_drain(EventLoop& loop, Connection& conn) {
 }
 
 void AdmissionServer::reject_loop_pending(EventLoop& loop) {
-  std::unordered_map<JobId, std::deque<PendingReply>> leftovers;
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    if (loop.pending.empty()) {
-      loop.owed.clear();
-      return;
-    }
-    leftovers.swap(loop.pending);
-    loop.owed.clear();
-  }
-  // A leftover means the job was enqueued but its shard never rendered a
+  if (loop.slots.live() == 0) return;
+  // A live slot means the job was enqueued but its shard never rendered a
   // decision (poisoned by a violation with halt_on_violation, or the
   // worker crashed without a restart). The submission contract still owes
   // one answer: closed, no decision.
-  for (const auto& [job_id, queue] : leftovers) {
-    for (const PendingReply& reply : queue) {
-      auto it = loop.connections.find(reply.conn_id);
-      if (it == loop.connections.end()) continue;
-      std::vector<char> bytes;
-      encode_reject(bytes, make_reject(reply.request_id, job_id,
-                                       Outcome::kRejectedClosed));
-      queue_frame(loop, *it->second, bytes);
-    }
+  for (std::uint32_t slot = 0; slot < loop.slots.allocated(); ++slot) {
+    const ReplySlot reply = loop.slots[slot];
+    if (reply.conn_id == 0) continue;
+    loop.slots.release(slot);
+    auto it = loop.connections.find(reply.conn_id);
+    if (it == loop.connections.end()) continue;
+    Connection& conn = *it->second;
+    --conn.owed;
+    loop.reply_scratch.clear();
+    encode_reject(loop.reply_scratch,
+                  make_reject(reply.request_id, reply.job_id,
+                              Outcome::kRejectedClosed));
+    queue_frame(loop, conn, loop.reply_scratch);
   }
 }
 
@@ -881,33 +861,25 @@ void AdmissionServer::close_connection(EventLoop& loop,
   (void)::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   loop.connections.erase(it);
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    loop.owed.erase(conn_id);
-  }
-  // Pending replies owed to this connection stay registered; their
-  // decisions are dropped at outbox drain when the lookup fails.
+  // Reply slots owed to this connection stay live until their decisions
+  // reach the outbox; drain_outbox then drops the answers and frees them.
 }
 
 void AdmissionServer::reap_idle(EventLoop& loop,
                                 std::chrono::steady_clock::time_point now) {
+  // The owed count decides exemption: a connection awaiting a DECISION
+  // (slow shard, δ-deferred resolution) is never reaped, however long the
+  // wire stays silent — one-answer-per-SUBMIT outranks idleness. Every
+  // owed transition happens on this (the loop) thread: increments when a
+  // submission takes a reply slot, decrements at outbox drain, sync-shed
+  // close_slot and post-drain rejection. A connection judged reapable here
+  // can therefore neither become owed before the close below, nor look
+  // un-owed while a shard callback's DECISION is still staged.
   std::vector<std::uint64_t> expired;
-  {
-    // The owed map decides exemption: a connection awaiting a DECISION
-    // (slow shard, δ-deferred resolution) is never reaped, however long
-    // the wire stays silent — one-answer-per-SUBMIT outranks idleness.
-    // Every owed transition happens on this (the loop) thread: increments
-    // in handle_submit, decrements at outbox drain / sync-shed reclaim /
-    // close. A connection judged reapable here can therefore neither
-    // become owed before the close below, nor look un-owed while a shard
-    // callback's DECISION is still staged in the outbox.
-    std::lock_guard lock(loop.pending_mutex);
-    for (const auto& [id, conn] : loop.connections) {
-      if (now - conn->last_activity < config_.idle_timeout) continue;
-      auto owed_it = loop.owed.find(id);
-      if (owed_it != loop.owed.end() && owed_it->second > 0) continue;
-      expired.push_back(id);
-    }
+  for (const auto& [id, conn] : loop.connections) {
+    if (now - conn->last_activity < config_.idle_timeout) continue;
+    if (conn->owed > 0) continue;
+    expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
     close_connection(loop, id);
@@ -934,26 +906,17 @@ void AdmissionServer::drain_outbox(EventLoop& loop) {
     while (j < entries.size() && entries[j].conn_id == conn_id) ++j;
     auto it = loop.connections.find(conn_id);
     if (it != loop.connections.end()) {
+      // The owed count drops only here, on the loop thread, once the run
+      // is handed to the socket. The shard callback that staged these
+      // entries left the count intact, so a reap tick between the
+      // callback and this drain still sees the connection as owed.
       Connection& conn = *it->second;
       deliver_staged(loop, conn, i, j);
+      conn.owed -= static_cast<std::uint32_t>(j - i);
       if (conn.dead) close_connection(loop, conn_id);
     }
     // else: client left; answers dropped
-    {
-      // The owed count drops only here, on the loop thread, once the run
-      // is handed to the socket (or dropped with its connection). The
-      // shard callback that staged these entries left the count intact,
-      // so a reap tick between the callback and this drain still sees
-      // the connection as owed and spares it. close_connection erased
-      // the entry for a departed client, so the find is a no-op there.
-      std::lock_guard lock(loop.pending_mutex);
-      auto owed_it = loop.owed.find(conn_id);
-      if (owed_it != loop.owed.end()) {
-        owed_it->second -= std::min<std::uint32_t>(
-            owed_it->second, static_cast<std::uint32_t>(j - i));
-        if (owed_it->second == 0) loop.owed.erase(owed_it);
-      }
-    }
+    for (std::size_t k = i; k < j; ++k) loop.slots.release(entries[k].slot);
     i = j;
   }
 }

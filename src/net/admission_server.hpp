@@ -3,13 +3,15 @@
 /// server that speaks the admission wire protocol (net/protocol.hpp) in
 /// front of an AdmissionGateway. The server runs N shared-nothing event
 /// loops (AdmissionServerConfig::loops); each loop owns its own epoll set,
-/// eventfd, connections, pending-reply map and outbox, so loops never
-/// contend on shared state. Connections are partitioned across loops at
-/// accept time by round-robin handoff from a single acceptor on loop 0,
-/// and every gateway decision is routed straight to the owning loop via
-/// the submission's route_ctx (the loop index), where DECISION frames are
-/// coalesced per wake-up and flushed with writev. The decision hot path
-/// never blocks on a socket.
+/// eventfd, connections, reply slots and outbox, so loops never contend on
+/// shared state. Connections are partitioned across loops at accept time
+/// by round-robin handoff from a single acceptor on loop 0. Every SUBMIT
+/// takes one reply slot on its loop, and the slot's token travels through
+/// the gateway as the job's route_ctx, so each decision goes straight back
+/// to the submission that asked for it — never to another connection that
+/// reused the job id. DECISION frames are coalesced per wake-up and
+/// flushed with writev; the decision hot path takes one lock (the loop's
+/// outbox) and never blocks on a socket.
 ///
 /// Contract: every SUBMIT is answered by exactly one DECISION (the shard's
 /// scheduler rendered accept/reject — with the committed machine and start
@@ -28,10 +30,10 @@
 /// observe exactly the numbers the DRAINED frame reported.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,7 +54,7 @@ struct AdmissionServerConfig {
   std::uint16_t port = 0;
   int backlog = 128;
   /// Number of shared-nothing event loops. Each loop owns its own epoll
-  /// set, connections, pending replies and outbox; a connection lives on
+  /// set, connections, reply slots and outbox; a connection lives on
   /// one loop for its whole life. 1 reproduces the original single-loop
   /// server exactly.
   int loops = 1;
@@ -116,7 +118,10 @@ class AdmissionServer {
   GatewayResult shutdown();
 
   /// Live gateway access (metrics snapshots, supervisor) for embedding
-  /// processes; network clients use the protocol instead.
+  /// processes; network clients use the protocol instead. The server owns
+  /// the gateway's route_ctx space: an embedder that submits directly
+  /// must pass the default route_ctx 0, whose decision no connection is
+  /// owed.
   [[nodiscard]] AdmissionGateway& gateway() { return *gateway_; }
 
   /// Connections closed by the idle reaper since the server started
@@ -154,24 +159,68 @@ class AdmissionServer {
     /// Last observed traffic (accept, readable bytes, or queued output);
     /// the reaper compares this against idle_timeout.
     std::chrono::steady_clock::time_point last_activity{};
+    /// DECISIONs owed: enqueued submissions whose answer has not been
+    /// handed to the socket yet. The reaper spares a connection while this
+    /// is nonzero. Loop-thread-only, like every transition of it.
+    std::uint32_t owed = 0;
   };
 
-  /// A job whose DECISION is owed to a connection. Keyed by job id in the
-  /// owning loop's pending map; submission order per id is preserved
-  /// (deque).
-  struct PendingReply {
-    std::uint64_t conn_id = 0;
+  /// Where one enqueued submission's DECISION goes. The loop writes it
+  /// before the submit; the shard thread that renders the decision only
+  /// reads it, ordered after that write by the shard queue's
+  /// release/acquire hand-off; the loop frees it after draining the
+  /// DECISION from the outbox.
+  struct ReplySlot {
+    std::uint64_t conn_id = 0;  ///< 0 while free (connection ids start at 2)
     std::uint64_t request_id = 0;
+    JobId job_id = 0;
+  };
+
+  /// One loop's reply slots: fixed-size chunks behind a fixed outer array,
+  /// allocated on first use and never moved or freed while the loop lives,
+  /// so shard threads can read a slot while the loop allocates more. All
+  /// members are loop-thread-only apart from those slot reads.
+  class ReplySlots {
+   public:
+    static constexpr std::size_t kChunkSlots = 4096;
+    static constexpr std::size_t kMaxChunks = 1024;
+
+    /// True when `n` more slots can be taken. A loop with
+    /// kChunkSlots * kMaxChunks submissions in flight sheds new ones as
+    /// queue-full.
+    [[nodiscard]] bool can_take(std::size_t n) const {
+      return free_.size() + (kMaxChunks - chunks_used_) * kChunkSlots >= n;
+    }
+    /// Takes a free slot; requires can_take(1).
+    std::uint32_t take();
+    /// Marks `slot` free again.
+    void release(std::uint32_t slot);
+    [[nodiscard]] ReplySlot& operator[](std::uint32_t slot) {
+      return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+    }
+    /// Slots allocated so far (live or free).
+    [[nodiscard]] std::size_t allocated() const {
+      return chunks_used_ * kChunkSlots;
+    }
+    [[nodiscard]] std::size_t live() const { return live_; }
+
+   private:
+    std::array<std::unique_ptr<ReplySlot[]>, kMaxChunks> chunks_;
+    std::size_t chunks_used_ = 0;
+    std::size_t live_ = 0;
+    std::vector<std::uint32_t> free_;
   };
 
   /// Encoded server->client frames staged for one drain: one contiguous
-  /// byte arena plus (connection, offset, length) entries into it. Shard
-  /// threads encode DECISIONs directly into the arena under the outbox
-  /// lock — no per-decision allocation — and the loop flushes each
-  /// connection's run of entries with a single writev.
+  /// byte arena plus (connection, reply slot, offset, length) entries into
+  /// it. Shard threads encode DECISIONs directly into the arena under the
+  /// outbox lock — no per-decision allocation — and the loop flushes each
+  /// connection's run of entries with a single writev, then frees the
+  /// entries' slots.
   struct Outbox {
     struct Entry {
       std::uint64_t conn_id = 0;
+      std::uint32_t slot = 0;
       std::uint32_t offset = 0;
       std::uint32_t length = 0;
     };
@@ -188,7 +237,7 @@ class AdmissionServer {
   /// One shared-nothing event loop: epoll set, wake eventfd, the listener
   /// (loop 0 only), the connections it owns, and the reply-path
   /// state shard threads hand decisions to. Everything without a mutex is
-  /// loop-thread-only.
+  /// loop-thread-only, except that shard threads read live reply slots.
   struct EventLoop {
     int index = 0;
     int epoll_fd = -1;
@@ -206,8 +255,10 @@ class AdmissionServer {
     bool listener_armed = true;
     std::chrono::steady_clock::time_point rearm_at{};
     /// SUBMIT_BATCH decode target, reused across frames (the decoded span
-    /// is handed straight to AdmissionGateway::submit_batch).
+    /// is handed straight to AdmissionGateway::submit_batch), and the
+    /// batch's per-job slot tokens and outcomes.
     std::vector<Job> batch_scratch;
+    std::vector<std::uint64_t> token_scratch;
     std::vector<Outcome> status_scratch;
     /// Double buffer the drain swaps the outbox into, and the iovec list
     /// built over it; both reused across drains.
@@ -215,13 +266,11 @@ class AdmissionServer {
     std::vector<char> reply_scratch;
 
     // --- shared with shard consumer threads ---
-    /// Guards `pending` and `owed`. Only this loop's connections appear
-    /// here, so only decisions for this loop contend on it.
-    std::mutex pending_mutex;
-    std::unordered_map<JobId, std::deque<PendingReply>> pending;
-    /// Per-connection count of owed DECISIONs; the reaper exempts any
-    /// connection with a nonzero count.
-    std::unordered_map<std::uint64_t, std::uint32_t> owed;
+    /// Written and freed by this loop; shard threads read live slots
+    /// without a lock (see ReplySlot).
+    ReplySlots slots;
+    /// The only lock on the decision path; only decisions for this loop's
+    /// connections contend on it.
     std::mutex outbox_mutex;
     Outbox outbox;
 
@@ -230,10 +279,10 @@ class AdmissionServer {
     std::vector<int> handoff;
   };
 
-  /// The gateway's on_decision hook target: resolves the pending reply
-  /// slot on the owning loop (route_ctx = loop index) and encodes the
-  /// DECISION straight into that loop's outbox. Runs on shard consumer
-  /// threads.
+  /// The gateway's on_decision hook target: reads the reply slot named
+  /// by route_ctx (a slot token, see slot_token) and encodes the DECISION
+  /// straight into the owning loop's outbox. Contexts below the loop count
+  /// name no slot and are ignored. Runs on shard consumer threads.
   void on_gateway_decision(const Job& job, const Decision& decision,
                            std::uint64_t route_ctx);
 
@@ -252,6 +301,25 @@ class AdmissionServer {
   void handle_submit_batch(EventLoop& loop, Connection& conn,
                            std::uint64_t base_request_id,
                            std::span<const Job> jobs);
+  /// Takes a reply slot for one submission of `conn` and returns the
+  /// token to submit it with; requires loop.slots.can_take(1).
+  std::uint64_t open_slot(EventLoop& loop, Connection& conn,
+                          std::uint64_t request_id, JobId job_id);
+  /// Gives back the slot behind `token` of a submission the gateway shed
+  /// synchronously: no decision will come for it.
+  void close_slot(EventLoop& loop, Connection& conn, std::uint64_t token);
+  /// The route_ctx naming `slot` on `loop`: (slot + 1) * loops + index, so
+  /// the owning loop is token mod loops and tokens below the loop count
+  /// (an embedder's default 0) name no slot.
+  [[nodiscard]] std::uint64_t slot_token(const EventLoop& loop,
+                                         std::uint32_t slot) const {
+    return (static_cast<std::uint64_t>(slot) + 1) * loops_.size() +
+           static_cast<std::uint64_t>(loop.index);
+  }
+  /// The slot a token names on its loop; requires token >= loops.
+  [[nodiscard]] std::uint32_t token_slot(std::uint64_t token) const {
+    return static_cast<std::uint32_t>(token / loops_.size() - 1);
+  }
   void handle_drain(EventLoop& loop, Connection& conn);
   void handle_http(EventLoop& loop, Connection& conn);
   /// Appends bytes to the connection's write buffer and flushes what the
@@ -268,18 +336,21 @@ class AdmissionServer {
   void update_epoll(EventLoop& loop, Connection& conn);
   void close_connection(EventLoop& loop, std::uint64_t conn_id);
   /// Closes every connection on `loop` whose last_activity is older than
-  /// idle_timeout and which is owed no DECISION. Called from the loop on
-  /// its reap_interval tick.
+  /// idle_timeout and which is owed no DECISION (Connection::owed). Called
+  /// from the loop on its reap_interval tick.
   void reap_idle(EventLoop& loop, std::chrono::steady_clock::time_point now);
   /// Moves decision frames queued by shard threads into write buffers,
-  /// coalescing each connection's run into one writev.
+  /// coalescing each connection's run into one writev, and frees their
+  /// reply slots.
   void drain_outbox(EventLoop& loop);
   /// Hands `loop.staged` entries [first, last) — all for `conn` — to the
   /// connection, by direct writev when its buffer is empty.
   void deliver_staged(EventLoop& loop, Connection& conn, std::size_t first,
                       std::size_t last);
-  /// Answers every still-pending submission on `loop` with REJECT closed
-  /// (used when the gateway drains before their decisions were rendered).
+  /// Answers every still-live reply slot on `loop` with REJECT closed and
+  /// frees it (used once the gateway has drained: those decisions will
+  /// never be rendered). Requires the outbox drained after the gateway
+  /// finished, so no live slot has a DECISION still staged.
   void reject_loop_pending(EventLoop& loop);
   /// Runs gateway finish() once and caches the result.
   void finish_gateway();

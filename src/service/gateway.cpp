@@ -253,7 +253,8 @@ Outcome AdmissionGateway::submit(const Job& job, std::uint64_t route_ctx) {
 
 BatchSubmitResult AdmissionGateway::submit_batch(
     std::span<const Job> jobs, std::vector<Outcome>* statuses,
-    std::uint64_t route_ctx) {
+    std::span<const std::uint64_t> route_ctxs) {
+  SLACKSCHED_EXPECTS(route_ctxs.empty() || route_ctxs.size() == jobs.size());
   BatchSubmitResult result;
   if (statuses != nullptr) {
     statuses->assign(jobs.size(), Outcome::kRejectedClosed);
@@ -331,7 +332,7 @@ BatchSubmitResult AdmissionGateway::submit_batch(
     const Shard::BatchEnqueueResult pushed =
         shards_[static_cast<std::size_t>(s)]->try_enqueue_batch(
             jobs.data(), group.data(), group.size(), now,
-            homes[static_cast<std::size_t>(s)].data(), route_ctx);
+            homes[static_cast<std::size_t>(s)].data(), route_ctxs);
     result.enqueued += pushed.taken;
     // A shed tail on a closed queue is not backpressure: the shard shut
     // down mid-batch, and the caller must treat the tail as unserviceable

@@ -60,9 +60,9 @@ using ShardSchedulerFactory =
 /// Invoked by shard consumer threads for every rendered, legal decision
 /// (see GatewayConfig::on_decision). Calls arrive in decision order per
 /// shard, from that shard's consumer thread. `route_ctx` is the opaque
-/// value the producer passed to submit()/submit_batch() (0 by default):
-/// the network front end stores its event-loop index there, so a decision
-/// routes straight to the loop owning the submitting connection without
+/// per-job token the producer passed to submit()/submit_batch() (0 by
+/// default): the network front end stores a reply-slot token there, so a
+/// decision routes straight to the submission that asked for it without
 /// any shared lookup.
 using GatewayDecisionCallback =
     std::function<void(int shard, const Job& job, const Decision& decision,
@@ -217,18 +217,20 @@ class AdmissionGateway {
   /// Routes and enqueues one job. Non-blocking; returns kEnqueued or one
   /// of the kRejected* outcomes. An unavailable home shard spills to the
   /// next healthy shard (cyclic probe) when failover is enabled; with none
-  /// available the job is shed with kRejectedRetryAfter. `route_ctx`
-  /// travels with the job and is echoed verbatim to on_decision.
+  /// available the job is shed with kRejectedRetryAfter. `route_ctx` is
+  /// an opaque per-job token: it travels with the job and is echoed
+  /// verbatim to on_decision.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
   /// Batched ingest: routes every job, then pushes each shard's group
   /// under a single queue lock. Jobs keep their relative order within a
   /// shard. When `statuses` is non-null it is resized to jobs.size() and
-  /// filled with the per-job outcome. One `route_ctx` covers the whole
-  /// batch: a batch comes from one producer.
-  BatchSubmitResult submit_batch(std::span<const Job> jobs,
-                                 std::vector<Outcome>* statuses = nullptr,
-                                 std::uint64_t route_ctx = 0);
+  /// filled with the per-job outcome. `route_ctxs` carries one opaque
+  /// token per job (route_ctxs[i] travels with jobs[i] and is echoed to
+  /// on_decision); empty means 0 for every job.
+  BatchSubmitResult submit_batch(
+      std::span<const Job> jobs, std::vector<Outcome>* statuses = nullptr,
+      std::span<const std::uint64_t> route_ctxs = {});
 
   /// Lock-free live counters (callable at any time, from any thread).
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const {

@@ -181,7 +181,7 @@ Outcome Shard::try_enqueue(const Job& job, Clock::time_point now, int home,
 Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     const Job* jobs, const std::uint32_t* indices, std::size_t count,
     Clock::time_point now, const std::int16_t* homes,
-    std::uint64_t route_ctx) {
+    std::span<const std::uint64_t> route_ctxs) {
   BatchEnqueueResult result;
   // Tasks are constructed directly in their claimed ring cells: the batch
   // producer path performs no staging copy and no heap allocation.
@@ -192,7 +192,7 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
         slot.enqueued_at = now;
         slot.home =
             homes != nullptr ? homes[i] : static_cast<std::int16_t>(index_);
-        slot.route_ctx = route_ctx;
+        slot.route_ctx = route_ctxs.empty() ? 0 : route_ctxs[indices[i]];
         ++per_class[criticality_index(slot.job.criticality)];
       });
   metrics_.on_enqueued(index_, result.taken);
@@ -385,14 +385,23 @@ void Shard::run_capacity_control() {
 
 void Shard::on_resolution(const Job& job, const Decision& decision) {
   // Reclaim the routing context parked when this job's decision deferred.
-  // Submission order per id is preserved (deque), mirroring the front
-  // end's pending-reply bookkeeping.
+  // The context is the producer's per-job token — for the network front
+  // end, the reply slot the submitting connection is waiting on. Jobs that
+  // share an id can resolve in any order (a δ-scheduler commits by
+  // deadline, not by arrival), so the parked entry must be this very job:
+  // the oldest one equal to it, never merely the oldest with its id.
   std::uint64_t route_ctx = 0;
   auto parked = deferred_ctx_.find(job.id);
   if (parked != deferred_ctx_.end()) {
-    route_ctx = parked->second.front();
-    parked->second.pop_front();
-    if (parked->second.empty()) deferred_ctx_.erase(parked);
+    std::deque<ParkedCtx>& same_id = parked->second;
+    const auto own =
+        std::find_if(same_id.begin(), same_id.end(),
+                     [&job](const ParkedCtx& p) { return p.job == job; });
+    if (own != same_id.end()) {
+      route_ctx = own->route_ctx;
+      same_id.erase(own);
+      if (same_id.empty()) deferred_ctx_.erase(parked);
+    }
   }
   const std::size_t latency_bin = metrics_.on_decision(
       index_, job.proc, decision.accepted, 0.0, job.criticality);
@@ -425,7 +434,7 @@ void Shard::process(const Task& task) {
   // so the eventual resolution can still find its way home.
   if (outcome.decision.deferred) {
     if (config_.on_decision) {
-      deferred_ctx_[task.job.id].push_back(task.route_ctx);
+      deferred_ctx_[task.job.id].push_back({task.job, task.route_ctx});
     }
     return;
   }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -48,10 +49,11 @@ namespace slacksched {
 using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 
 /// Per-decision notification hook (see ShardConfig::on_decision).
-/// `route_ctx` is the opaque routing context the producer passed to
+/// `route_ctx` is the opaque per-job token the producer passed to
 /// try_enqueue / try_enqueue_batch (0 when none): the network front end
-/// stores the owning event-loop index there so a decision can be handed
-/// straight back to the loop that owns the submitting connection.
+/// stores a reply-slot token there, naming both the event loop that owns
+/// the submitting connection and the slot holding that submission's
+/// reply address, so a decision goes straight back to its submitter.
 using ShardDecisionCallback = std::function<void(
     const Job& job, const Decision& decision, std::uint64_t route_ctx)>;
 
@@ -143,12 +145,13 @@ class Shard {
   /// accepted prefix is counted as enqueued; a shed tail is counted as
   /// backpressure only when the queue was full, not when it was closed.
   /// `homes`, when non-null, carries the router's home shard for each
-  /// offered job (parallel to `indices`). One `route_ctx` covers the whole
-  /// batch: a batch comes from one producer.
+  /// offered job (parallel to `indices`). `route_ctxs` is empty (every
+  /// job's context is 0) or indexed like `jobs`: job jobs[indices[i]]
+  /// travels with route_ctxs[indices[i]].
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, const std::int16_t* homes = nullptr,
-      std::uint64_t route_ctx = 0);
+      std::span<const std::uint64_t> route_ctxs = {});
 
   /// Closes the queue: producers start failing, the consumer drains the
   /// backlog and exits.
@@ -237,10 +240,15 @@ class Shard {
   /// δ-commitment schedulers defer a job's binding decision past its
   /// feed() call, but the Task (and its route_ctx) dies with the batch
   /// iteration. Parked contexts bridge the gap: process() records the
-  /// ctx when a hooked job defers, on_resolution() pops it. Touched only
-  /// by the consumer thread, so no lock; cleared on (re)spawn — a crashed
-  /// worker's parked contexts die with it, like its undecided queue tail.
-  std::unordered_map<JobId, std::deque<std::uint64_t>> deferred_ctx_;
+  /// ctx when a hooked job defers, on_resolution() takes it back. Touched
+  /// only by the consumer thread, so no lock; cleared on (re)spawn — a
+  /// crashed worker's parked contexts die with it, like its undecided
+  /// queue tail.
+  struct ParkedCtx {
+    Job job;
+    std::uint64_t route_ctx = 0;
+  };
+  std::unordered_map<JobId, std::deque<ParkedCtx>> deferred_ctx_;
 
   int index_;
   ShardConfig config_;

@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "common/expects.hpp"
 #include "core/frontier_set.hpp"
@@ -393,6 +396,43 @@ TEST(GatewaySelector, ValidateSurfacesModelProblems) {
   const std::vector<std::string> errors = config.validate();
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("model"), std::string::npos);
+}
+
+TEST(GatewaySelector, DeferredResolutionEchoesItsOwnRouteContext) {
+  // Two submissions share id 7 in one δ shard. The later one has the
+  // earlier deadline, so it resolves first; each resolution must still
+  // carry the context submitted with that very job (for the network front
+  // end: the reply slot of the connection that sent it).
+  GatewayConfig config;
+  config.shards = 1;
+  config.model = ModelConfig{};
+  config.model->model = CommitModel::kDelta;
+  config.model->delta = 0.5;
+  config.model->machines = 1;
+  std::mutex echoed_mutex;
+  std::vector<std::pair<Job, std::uint64_t>> echoed;
+  config.on_decision = [&](int /*shard*/, const Job& job,
+                           const Decision& /*decision*/,
+                           std::uint64_t route_ctx) {
+    std::lock_guard lock(echoed_mutex);
+    echoed.emplace_back(job, route_ctx);
+  };
+  AdmissionGateway gateway(config);
+  const Job roomy = make_job(7, 0.0, 10.0, 1000.0);
+  const Job tight = make_job(7, 0.0, 1.0, 3.0);
+  ASSERT_EQ(gateway.submit(roomy, 101), Outcome::kEnqueued);
+  ASSERT_EQ(gateway.submit(tight, 202), Outcome::kEnqueued);
+  ASSERT_EQ(gateway.submit(make_job(8, 2.5, 1.0, 1000.0), 303),
+            Outcome::kEnqueued);
+  (void)gateway.finish();
+
+  ASSERT_EQ(echoed.size(), 3u);
+  EXPECT_EQ(echoed.front().first, tight);  // resolved out of arrival order
+  for (const auto& [job, ctx] : echoed) {
+    const std::uint64_t submitted_with =
+        job == roomy ? 101u : (job == tight ? 202u : 303u);
+    EXPECT_EQ(ctx, submitted_with) << job.to_string();
+  }
 }
 
 }  // namespace

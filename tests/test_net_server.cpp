@@ -16,11 +16,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <set>
 #include <memory>
 #include <span>
 #include <string>
@@ -30,6 +32,7 @@
 #include "baselines/greedy.hpp"
 #include "common/expects.hpp"
 #include "core/threshold.hpp"
+#include "models/model_factory.hpp"
 #include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
 #include "sched/engine.hpp"
@@ -881,6 +884,182 @@ TEST(NetServer, DrainPropagatesAcrossLoops) {
   EXPECT_EQ(a.submit_wait(job).outcome, Outcome::kRejectedClosed);
   AdmissionClient c("127.0.0.1", server.port());
   EXPECT_EQ(c.ping(11), 11u);
+}
+
+// ---------- every submission is answered with its own decision ----------
+
+/// Rejects every job: a shard whose answer cannot be mistaken for the
+/// accepting shard's.
+class RejectAllScheduler final : public OnlineScheduler {
+ public:
+  explicit RejectAllScheduler(int machines) : machines_(machines) {}
+  Decision on_arrival(const Job& /*job*/) override {
+    return Decision::reject();
+  }
+  [[nodiscard]] int machines() const override { return machines_; }
+  void reset() override {}
+  [[nodiscard]] std::string name() const override { return "reject-all"; }
+
+ private:
+  int machines_;
+};
+
+/// Two round-robin shards that answer the same job differently: shard 0
+/// rejects after a 100 ms stall, shard 1 accepts at once. Whoever reads a
+/// decision can tell which shard rendered it.
+AdmissionServerConfig split_verdict_config() {
+  AdmissionServerConfig config = loopback_config(16);
+  config.gateway.shards = 2;
+  return config;
+}
+
+std::unique_ptr<OnlineScheduler> split_verdict_shard(int shard) {
+  if (shard == 0) {
+    return std::make_unique<SlowScheduler>(
+        std::make_unique<RejectAllScheduler>(2),
+        std::chrono::milliseconds(100));
+  }
+  return std::make_unique<GreedyScheduler>(2);
+}
+
+/// Blocks until the gateway has enqueued `count` jobs in total, so the
+/// next submission is routed to the next round-robin shard.
+void wait_enqueued(AdmissionServer& server, std::size_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.gateway().metrics_snapshot().total.enqueued < count) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+Job job_seven() {
+  Job job;
+  job.id = 7;
+  job.proc = 1.0;
+  job.deadline = 1e9;
+  return job;
+}
+
+TEST(NetServer, SameJobIdOnTwoConnectionsGetsItsOwnDecision) {
+  // A's job 7 goes to the slow rejecting shard, B's job 7 to the fast
+  // accepting one. Replies keyed by job id crossed them: B's acceptance
+  // was delivered to A and A's rejection to B.
+  AdmissionServerConfig config = split_verdict_config();
+  AdmissionServer server(config, split_verdict_shard);
+  AdmissionClient a("127.0.0.1", server.port());
+  AdmissionClient b("127.0.0.1", server.port());
+
+  const std::uint64_t a_request = a.submit(job_seven());
+  wait_enqueued(server, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t b_request = b.submit(job_seven());
+
+  const DecisionReply b_reply = b.wait_reply();
+  const DecisionReply a_reply = a.wait_reply();
+  EXPECT_EQ(a_reply.request_id, a_request);
+  EXPECT_EQ(a_reply.job_id, 7);
+  EXPECT_EQ(a_reply.outcome, Outcome::kRejected);
+  EXPECT_EQ(b_reply.request_id, b_request);
+  EXPECT_EQ(b_reply.job_id, 7);
+  EXPECT_EQ(b_reply.outcome, Outcome::kAccepted);
+
+  // Exactly one answer each: nothing else arrives before the DRAINED.
+  (void)a.drain();
+  DecisionReply extra;
+  EXPECT_FALSE(a.try_reply(extra));
+  EXPECT_EQ(b.ping(5), 5u);
+  EXPECT_FALSE(b.try_reply(extra));
+}
+
+TEST(NetServer, EmbedderSubmissionDoesNotTakeAClientsReply) {
+  // While the client's job 7 waits on the slow rejecting shard, the
+  // embedding process submits its own job 7 (route_ctx 0), which the
+  // accepting shard decides first. That decision is owed to nobody; the
+  // client must still receive its own rejection, and only that.
+  AdmissionServerConfig config = split_verdict_config();
+  AdmissionServer server(config, split_verdict_shard);
+  AdmissionClient client("127.0.0.1", server.port());
+
+  const std::uint64_t request = client.submit(job_seven());
+  wait_enqueued(server, 1);
+  ASSERT_EQ(server.gateway().submit(job_seven()), Outcome::kEnqueued);
+
+  const DecisionReply reply = client.wait_reply();
+  EXPECT_EQ(reply.request_id, request);
+  EXPECT_EQ(reply.job_id, 7);
+  EXPECT_EQ(reply.outcome, Outcome::kRejected);
+
+  const DrainedMsg drained = client.drain();
+  EXPECT_EQ(drained.submitted, 2u);
+  EXPECT_EQ(drained.accepted, 1u);
+  DecisionReply extra;
+  EXPECT_FALSE(client.try_reply(extra));
+}
+
+TEST(NetServer, DeltaCommitmentAnswersEverySubmitOnceAndMatchesRunOnline) {
+  // δ-commitment defers decisions past the SUBMIT's arrival, so replies
+  // come back out of submission order — some only when DRAIN flushes the
+  // deferred tail. Each reply slot must survive the deferral and carry
+  // its own (request id, job id); the accepted set is the engine's.
+  ModelConfig model;
+  model.model = CommitModel::kDelta;
+  model.delta = 0.5;
+  model.queue = QueuePolicy::kEdf;
+  model.machines = 2;
+  const Instance instance = test_instance(300, 611);
+  auto reference = make_scheduler(model);
+  const RunResult engine = run_online(*reference, instance, RunOptions{});
+  std::set<JobId> expected_accepted;
+  for (const DecisionRecord& record : engine.decisions) {
+    if (record.decision.accepted) expected_accepted.insert(record.job.id);
+  }
+  ASSERT_FALSE(expected_accepted.empty());
+  ASSERT_LT(expected_accepted.size(), instance.size());
+
+  for (const int loops : {1, 2}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    AdmissionServerConfig config = loopback_config(instance.size());
+    config.loops = loops;
+    config.gateway.model = model;
+    AdmissionServer server(config, [model](int) {
+      return make_scheduler(model);
+    });
+    // With two loops the first connection stays on loop 0; the client
+    // under test is handed to loop 1.
+    AdmissionClient bystander("127.0.0.1", server.port());
+    EXPECT_EQ(bystander.ping(1), 1u);
+    AdmissionClient client("127.0.0.1", server.port());
+
+    std::map<std::uint64_t, JobId> job_of_request;
+    for (const Job& job : instance.jobs()) {
+      job_of_request[client.submit(job)] = job.id;
+    }
+    const DrainedMsg drained = client.drain();
+    EXPECT_EQ(drained.submitted, instance.size());
+
+    std::map<std::uint64_t, int> answers;
+    std::vector<std::uint64_t> reply_order;
+    std::set<JobId> accepted;
+    DecisionReply reply;
+    while (client.try_reply(reply)) {
+      ++answers[reply.request_id];
+      reply_order.push_back(reply.request_id);
+      auto it = job_of_request.find(reply.request_id);
+      ASSERT_NE(it, job_of_request.end()) << reply.request_id;
+      EXPECT_EQ(reply.job_id, it->second);
+      EXPECT_TRUE(reply.is_decision()) << "job " << reply.job_id;
+      if (reply.outcome == Outcome::kAccepted) accepted.insert(reply.job_id);
+    }
+    EXPECT_EQ(answers.size(), instance.size());
+    // Deferral really happened: answers left submission order.
+    EXPECT_FALSE(std::is_sorted(reply_order.begin(), reply_order.end()));
+    for (const auto& [request, count] : answers) {
+      EXPECT_EQ(count, 1) << "request " << request;
+    }
+    EXPECT_EQ(accepted, expected_accepted);
+    EXPECT_EQ(drained.accepted, expected_accepted.size());
+  }
 }
 
 }  // namespace

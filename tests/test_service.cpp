@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -405,6 +406,52 @@ TEST(Gateway, BatchTailOnAFullQueueIsStillBackpressure) {
   EXPECT_GT(result.rejected_queue_full, 0u);
   EXPECT_EQ(result.enqueued + result.rejected_queue_full, jobs.size());
   (void)gateway.finish();
+}
+
+TEST(Gateway, BatchRouteContextsTravelWithTheirOwnJobs) {
+  // Round-robin over three shards scatters the batch, so each shard sees
+  // a non-contiguous subset: every decision must still echo the context
+  // submitted alongside that very job, not its position in a shard group.
+  GatewayConfig config;
+  config.shards = 3;
+  config.routing = RoutingPolicy::kRoundRobin;
+  config.queue_capacity = 64;
+  std::mutex echoed_mutex;
+  std::vector<std::pair<JobId, std::uint64_t>> echoed;
+  config.on_decision = [&](int /*shard*/, const Job& job,
+                           const Decision& /*decision*/,
+                           std::uint64_t route_ctx) {
+    std::lock_guard lock(echoed_mutex);
+    echoed.emplace_back(job.id, route_ctx);
+  };
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+
+  std::vector<Job> jobs;
+  std::vector<std::uint64_t> contexts;
+  for (JobId id = 0; id < 30; ++id) {
+    jobs.push_back(make_job(id, 0.0, 1.0, 1000.0));
+    contexts.push_back(1000 + static_cast<std::uint64_t>(id) * 7);
+  }
+  const BatchSubmitResult batch =
+      gateway.submit_batch(jobs, nullptr, contexts);
+  EXPECT_EQ(batch.enqueued, jobs.size());
+  // No contexts at all: every job is echoed with 0.
+  const BatchSubmitResult plain = gateway.submit_batch(
+      std::span<const Job>(jobs.data(), 3));
+  EXPECT_EQ(plain.enqueued, 3u);
+  (void)gateway.finish();
+
+  ASSERT_EQ(echoed.size(), jobs.size() + 3);
+  std::size_t zero = 0;
+  for (const auto& [id, ctx] : echoed) {
+    if (ctx == 0) {
+      ++zero;
+      continue;
+    }
+    EXPECT_EQ(ctx, contexts[static_cast<std::size_t>(id)]) << "job " << id;
+  }
+  EXPECT_EQ(zero, 3u);
 }
 
 }  // namespace
