@@ -201,6 +201,13 @@ std::vector<Job> two_phase_jobs() {
   return jobs;
 }
 
+/// Offers one job straight to a shard: a batch of one.
+bool enqueue_one(Shard& shard, const Job& job) {
+  const std::uint32_t only = 0;
+  return shard.try_enqueue_batch(&job, &only, 1, Shard::Clock::now()).taken ==
+         1;
+}
+
 constexpr int kInitialMachines = 2;
 
 DrainStats bench_shrink_drain(const std::string& dir) {
@@ -223,7 +230,7 @@ DrainStats bench_shrink_drain(const std::string& dir) {
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, kInitialMachines); },
       config, metrics);
   for (const Job& job : two_phase_jobs()) {
-    (void)shard.try_enqueue(job, Shard::Clock::now());
+    (void)enqueue_one(shard, job);
   }
   shard.close();
   shard.start();
@@ -301,7 +308,7 @@ double run_shard_once(const std::vector<Job>& jobs, bool elastic,
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, 4); }, config,
       metrics);
   for (const Job& job : jobs) {
-    if (shard.try_enqueue(job, Shard::Clock::now()) != Outcome::kEnqueued) {
+    if (!enqueue_one(shard, job)) {
       std::fprintf(stderr, "FATAL: overhead queue refused a job\n");
       std::exit(1);
     }

@@ -55,6 +55,7 @@ struct RunStats {
   double accepted_volume = 0.0;
   std::uint64_t backpressure_retries = 0;
   std::size_t peak_queue_depth = 0;
+  std::size_t queue_capacity = 0;  ///< per-shard bound the peak must obey
   std::size_t batches = 0;
   bool clean = false;
   std::string violation;
@@ -180,6 +181,7 @@ RunStats run_closed_loop(const Instance& instance, int shards,
   stats.accepted_volume = result.merged.accepted_volume;
   for (const std::uint64_t r : retries) stats.backpressure_retries += r;
   stats.peak_queue_depth = result.metrics.total.peak_queue_depth;
+  stats.queue_capacity = gateway->config().queue_capacity;
   stats.batches = result.metrics.total.batches;
   stats.clean = result.clean() && result.merged.submitted == n;
   stats.violation = result.first_violation();
@@ -283,6 +285,7 @@ void write_json(const bench::BenchEnv& env, const std::vector<RunStats>& runs,
         << ", \"accepted_volume\": " << r.accepted_volume
         << ", \"backpressure_retries\": " << r.backpressure_retries
         << ", \"peak_queue_depth\": " << r.peak_queue_depth
+        << ", \"queue_capacity\": " << r.queue_capacity
         << ", \"batches\": " << r.batches
         << ", \"clean\": " << (r.clean ? "true" : "false") << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";

@@ -186,6 +186,16 @@ def check_service(path: Path, errors: list[str]) -> None:
         if run.get("jobs_per_sec", 0.0) <= 0.0:
             fail(errors, f"{path}: shards={shards} reports non-positive "
                          "throughput")
+        # A queue can never hold more than its capacity: a larger peak is
+        # an impossible value, not a busy run.
+        peak = run.get("peak_queue_depth")
+        capacity = run.get("queue_capacity")
+        if peak is None or capacity is None:
+            fail(errors, f"{path}: shards={shards} lacks peak_queue_depth "
+                         "or queue_capacity")
+        elif peak > capacity:
+            fail(errors, f"{path}: shards={shards} peak_queue_depth {peak} "
+                         f"exceeds queue_capacity {capacity}")
 
     # Shard-scaling gate. A multi-core recording machine that cannot beat
     # the 1-shard configuration with any multi-shard one means the

@@ -70,7 +70,11 @@ std::string DeltaCommitScheduler::name() const {
           : "DeltaCommit(delta=" + compact(config_.delta) + ")";
   n += "(m=" + std::to_string(config_.machines) +
        ", queue=" + to_string(config_.queue) + ")";
-  if (!profile_.uniform()) n += "[" + profile_.label() + "]";
+  if (!profile_.uniform()) {
+    n += "[";
+    n += profile_.label();
+    n += "]";
+  }
   return n;
 }
 

@@ -598,7 +598,9 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit_one(loop, conn, msg.request_id, msg.job);
+      // A SUBMIT is a one-job batch: same slots, same gateway path.
+      handle_submit(loop, conn, msg.request_id,
+                    std::span<const Job>(&msg.job, 1));
       return;
     }
     case FrameType::kSubmitBatch: {
@@ -611,8 +613,7 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit_batch(loop, conn, base,
-                          std::span<const Job>(loop.batch_scratch));
+      handle_submit(loop, conn, base, std::span<const Job>(loop.batch_scratch));
       return;
     }
     case FrameType::kPing: {
@@ -658,30 +659,9 @@ RejectMsg AdmissionServer::make_reject(std::uint64_t request_id,
   return msg;
 }
 
-void AdmissionServer::handle_submit_one(EventLoop& loop, Connection& conn,
-                                        std::uint64_t request_id,
-                                        const Job& job) {
-  Outcome status = Outcome::kRejectedClosed;
-  if (!drained_.load(std::memory_order_acquire)) {
-    if (!loop.slots.can_take(1)) {
-      status = Outcome::kRejectedQueueFull;
-    } else {
-      // Fill the reply slot BEFORE the submit: the shard may render the
-      // decision (and run the hook) before submit() even returns.
-      const std::uint64_t token = open_slot(loop, conn, request_id, job.id);
-      status = gateway_->submit(job, token);
-      if (status == Outcome::kEnqueued) return;  // DECISION will follow
-      close_slot(loop, conn, token);  // shed synchronously: none will
-    }
-  }
-  loop.reply_scratch.clear();
-  encode_reject(loop.reply_scratch, make_reject(request_id, job.id, status));
-  queue_frame(loop, conn, loop.reply_scratch);
-}
-
-void AdmissionServer::handle_submit_batch(EventLoop& loop, Connection& conn,
-                                          std::uint64_t base_request_id,
-                                          std::span<const Job> jobs) {
+void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
+                                    std::uint64_t base_request_id,
+                                    std::span<const Job> jobs) {
   loop.reply_scratch.clear();
   std::vector<char>& bytes = loop.reply_scratch;
   const bool drained = drained_.load(std::memory_order_acquire);

@@ -296,11 +296,11 @@ class AdmissionServer {
   void read_ready(EventLoop& loop, Connection& conn);
   void write_ready(EventLoop& loop, Connection& conn);
   void handle_frame(EventLoop& loop, Connection& conn, const Frame& frame);
-  void handle_submit_one(EventLoop& loop, Connection& conn,
-                         std::uint64_t request_id, const Job& job);
-  void handle_submit_batch(EventLoop& loop, Connection& conn,
-                           std::uint64_t base_request_id,
-                           std::span<const Job> jobs);
+  /// Answers a SUBMIT (a one-job batch) or a SUBMIT_BATCH: takes a reply
+  /// slot per job, submits them with one gateway call and answers the
+  /// synchronously shed ones at once.
+  void handle_submit(EventLoop& loop, Connection& conn,
+                     std::uint64_t base_request_id, std::span<const Job> jobs);
   /// Takes a reply slot for one submission of `conn` and returns the
   /// token to submit it with; requires loop.slots.can_take(1).
   std::uint64_t open_slot(EventLoop& loop, Connection& conn,

@@ -57,8 +57,9 @@ SvgDocument render_gantt_svg(const Schedule& schedule,
 
   for (int machine = 0; machine < schedule.machines(); ++machine) {
     const double lane_y = kTop + machine * (kLaneHeight + kLaneGap);
-    svg.text(10.0, lane_y + kLaneHeight * 0.65,
-             "m" + std::to_string(machine), 12.0);
+    std::string lane = "m";
+    lane += std::to_string(machine);
+    svg.text(10.0, lane_y + kLaneHeight * 0.65, lane, 12.0);
     svg.rect(kLeft, lane_y, plot_width, kLaneHeight, "#f2f2f2");
     for (const Placement& p : schedule.on_machine(machine)) {
       const double x0 = x(std::min(p.start, t_end));
@@ -68,8 +69,10 @@ SvgDocument render_gantt_svg(const Schedule& schedule,
       svg.rect(x0, lane_y + 2.0, std::max(1.0, x1 - x0), kLaneHeight - 4.0,
                color, "#333333");
       if (x1 - x0 > 24.0) {
-        svg.text(0.5 * (x0 + x1), lane_y + kLaneHeight * 0.65,
-                 "J" + std::to_string(p.job.id), 11.0, "#ffffff", "middle");
+        std::string label = "J";
+        label += std::to_string(p.job.id);
+        svg.text(0.5 * (x0 + x1), lane_y + kLaneHeight * 0.65, label, 11.0,
+                 "#ffffff", "middle");
       }
     }
   }

@@ -22,6 +22,25 @@ TraceEvent routing_event(JobId job_id, int home, int shard, Outcome kind) {
 
 bool is_power_of_two(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+/// Producer-thread scratch of AdmissionGateway::submit_jobs, kept across
+/// calls: in steady state the submission path makes no heap allocation.
+struct SubmitScratch {
+  std::vector<int> target_of;  ///< per home shard: resolved target
+  /// Per target shard: the jobs grouped for it so far, then (after the
+  /// counting sort) where its group begins in `order`.
+  std::vector<std::uint32_t> group_pos;
+  std::vector<int> target;          ///< per job: target shard, -1 if shed
+  std::vector<std::int16_t> home;   ///< per job: the router's home shard
+  std::vector<std::uint32_t> order;        ///< job indices, grouped
+  std::vector<std::int16_t> order_home;    ///< parallel to `order`
+  std::vector<Outcome> outcomes;  ///< submit_batch's, when it gets none
+};
+
+SubmitScratch& submit_scratch() {
+  thread_local SubmitScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 std::vector<std::string> GatewayConfig::validate() const {
@@ -209,151 +228,137 @@ int AdmissionGateway::resolve_target(int home) {
 }
 
 Outcome AdmissionGateway::submit(const Job& job, std::uint64_t route_ctx) {
-  if (finished_.load(std::memory_order_acquire)) {
-    return Outcome::kRejectedClosed;
-  }
-  const int home = router_.route(job);
-  const int target = resolve_target(home);
-  if (target < 0) {
-    metrics_.on_degraded_reject(home);
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(home)]->record(
-          routing_event(job.id, home, /*shard=*/-1, Outcome::kRejectedRetryAfter));
-    }
-    return Outcome::kRejectedRetryAfter;
-  }
-  if (target != home) {
-    metrics_.on_failover(home);
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(target)]->record(
-          routing_event(job.id, home, target, Outcome::kFailover));
-    }
-  }
-  // Class-aware shed gate: a job whose class's occupancy threshold is
-  // reached never touches the queue. Checked after failover resolution so
-  // the occupancy read matches the queue the job would actually join.
-  if (config_.shed_policy.has_value() &&
-      config_.shed_policy->should_shed(
-          job.criticality,
-          shards_[static_cast<std::size_t>(target)]->queue_size(),
-          config_.queue_capacity)) {
-    metrics_.on_class_shed(target, job.criticality);
-    shards_[static_cast<std::size_t>(target)]->note_policy_shed();
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(target)]->record(
-          routing_event(job.id, home, target, Outcome::kRejectedCriticality));
-    }
-    return Outcome::kRejectedCriticality;
-  }
-  // try_enqueue already speaks the unified vocabulary: kEnqueued,
-  // kRejectedQueueFull or kRejectedClosed.
-  return shards_[static_cast<std::size_t>(target)]->try_enqueue(
-      job, Shard::Clock::now(), home, route_ctx);
+  Outcome outcome = Outcome::kRejectedClosed;
+  (void)submit_jobs({&job, 1}, &outcome, {&route_ctx, 1});
+  return outcome;
 }
 
 BatchSubmitResult AdmissionGateway::submit_batch(
     std::span<const Job> jobs, std::vector<Outcome>* statuses,
     std::span<const std::uint64_t> route_ctxs) {
+  std::vector<Outcome>& out =
+      statuses != nullptr ? *statuses : submit_scratch().outcomes;
+  out.resize(jobs.size());
+  return submit_jobs(jobs, out.data(), route_ctxs);
+}
+
+BatchSubmitResult AdmissionGateway::submit_jobs(
+    std::span<const Job> jobs, Outcome* outcomes,
+    std::span<const std::uint64_t> route_ctxs) {
   SLACKSCHED_EXPECTS(route_ctxs.empty() || route_ctxs.size() == jobs.size());
   BatchSubmitResult result;
-  if (statuses != nullptr) {
-    statuses->assign(jobs.size(), Outcome::kRejectedClosed);
-  }
   if (finished_.load(std::memory_order_acquire)) {
+    std::fill_n(outcomes, jobs.size(), Outcome::kRejectedClosed);
     result.rejected_closed = jobs.size();
     return result;
   }
-  // Route every job, resolve each home shard's failover target once (the
-  // availability view is sampled once per batch), and group the jobs by
-  // the shard they actually go to, preserving submission order within each
-  // group.
+  // Pass 1: route every job, resolve each home shard's failover target
+  // once (the availability view is sampled once per call), apply the
+  // class-shed gate and count each target's group.
+  SubmitScratch& scratch = submit_scratch();
   const auto shard_count = static_cast<std::size_t>(config_.shards);
-  std::vector<std::vector<std::uint32_t>> groups(shard_count);
-  /// Parallel to `groups`: the router's home shard of each grouped job
-  /// (several homes can fail over to the same target within one batch).
-  std::vector<std::vector<std::int16_t>> homes(shard_count);
-  std::vector<int> target_of(shard_count, -2);  // -2: not yet resolved
+  scratch.target_of.assign(shard_count, -2);  // -2: not yet resolved
+  scratch.group_pos.assign(shard_count, 0);
+  scratch.target.resize(jobs.size());
+  scratch.home.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto home = static_cast<std::size_t>(router_.route(jobs[i]));
-    if (target_of[home] == -2) {
-      target_of[home] = resolve_target(static_cast<int>(home));
+    if (scratch.target_of[home] == -2) {
+      scratch.target_of[home] = resolve_target(static_cast<int>(home));
     }
-    const int target = target_of[home];
+    const int target = scratch.target_of[home];
+    scratch.target[i] = target;
+    scratch.home[i] = static_cast<std::int16_t>(home);
     if (target < 0) {
       ++result.rejected_retry_after;
       metrics_.on_degraded_reject(static_cast<int>(home));
       if (!traces_.empty()) {
-        traces_[home]->record(routing_event(jobs[i].id, static_cast<int>(home),
-                                            /*shard=*/-1, Outcome::kRejectedRetryAfter));
+        traces_[home]->record(
+            routing_event(jobs[i].id, static_cast<int>(home), /*shard=*/-1,
+                          Outcome::kRejectedRetryAfter));
       }
-      if (statuses != nullptr) {
-        (*statuses)[i] = Outcome::kRejectedRetryAfter;
-      }
+      outcomes[i] = Outcome::kRejectedRetryAfter;
       continue;
     }
+    const auto t = static_cast<std::size_t>(target);
     if (target != static_cast<int>(home)) {
       metrics_.on_failover(static_cast<int>(home));
       if (!traces_.empty()) {
-        traces_[static_cast<std::size_t>(target)]->record(routing_event(
-            jobs[i].id, static_cast<int>(home), target, Outcome::kFailover));
+        traces_[t]->record(routing_event(jobs[i].id, static_cast<int>(home),
+                                         target, Outcome::kFailover));
       }
     }
-    // Class-aware shed gate, against the occupancy the job would actually
-    // see: the live queue size plus what this batch already grouped for
-    // the target (a single huge batch must not bypass the thresholds).
+    // Class-aware shed gate, checked after failover resolution against
+    // the occupancy the job would actually see: the ring's live depth plus
+    // what this call already grouped for the target (a single huge batch
+    // must not bypass the thresholds). A shed job never touches the queue.
     if (config_.shed_policy.has_value() &&
         config_.shed_policy->should_shed(
             jobs[i].criticality,
-            shards_[static_cast<std::size_t>(target)]->queue_size() +
-                groups[static_cast<std::size_t>(target)].size(),
+            shards_[t]->queue_size() + scratch.group_pos[t],
             config_.queue_capacity)) {
       ++result.rejected_criticality;
       metrics_.on_class_shed(target, jobs[i].criticality);
-      shards_[static_cast<std::size_t>(target)]->note_policy_shed();
       if (!traces_.empty()) {
-        traces_[static_cast<std::size_t>(target)]->record(
-            routing_event(jobs[i].id, static_cast<int>(home), target,
-                          Outcome::kRejectedCriticality));
+        traces_[t]->record(routing_event(jobs[i].id, static_cast<int>(home),
+                                         target,
+                                         Outcome::kRejectedCriticality));
       }
-      if (statuses != nullptr) {
-        (*statuses)[i] = Outcome::kRejectedCriticality;
-      }
+      outcomes[i] = Outcome::kRejectedCriticality;
+      scratch.target[i] = -1;
       continue;
     }
-    groups[static_cast<std::size_t>(target)].push_back(
-        static_cast<std::uint32_t>(i));
-    homes[static_cast<std::size_t>(target)].push_back(
-        static_cast<std::int16_t>(home));
+    ++scratch.group_pos[t];
   }
+  // Pass 2: lay the groups out back to back in shard order (a stable
+  // counting sort), so each keeps submission order.
+  std::uint32_t grouped = 0;
+  for (std::uint32_t& pos : scratch.group_pos) {
+    grouped += pos;
+    pos = grouped;  // the group's end; the scatter below walks it back
+  }
+  scratch.order.resize(grouped);
+  scratch.order_home.resize(grouped);
+  for (std::size_t i = jobs.size(); i-- > 0;) {
+    if (scratch.target[i] < 0) continue;
+    const std::uint32_t at =
+        --scratch.group_pos[static_cast<std::size_t>(scratch.target[i])];
+    scratch.order[at] = static_cast<std::uint32_t>(i);
+    scratch.order_home[at] = scratch.home[i];
+  }
+  // Pass 3: one push per non-empty group. group_pos[s] is now the
+  // group's begin; the next shard's begin (or the total) is its end.
   const auto now = Shard::Clock::now();
-  for (int s = 0; s < config_.shards; ++s) {
-    const auto& group = groups[static_cast<std::size_t>(s)];
-    if (group.empty()) continue;
-    const Shard::BatchEnqueueResult pushed =
-        shards_[static_cast<std::size_t>(s)]->try_enqueue_batch(
-            jobs.data(), group.data(), group.size(), now,
-            homes[static_cast<std::size_t>(s)].data(), route_ctxs);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const std::uint32_t begin = scratch.group_pos[s];
+    const std::uint32_t end =
+        s + 1 < shard_count ? scratch.group_pos[s + 1] : grouped;
+    if (begin == end) continue;
+    const std::size_t count = end - begin;
+    const Shard::BatchEnqueueResult pushed = shards_[s]->try_enqueue_batch(
+        jobs.data(), scratch.order.data() + begin, count, now,
+        scratch.order_home.data() + begin, route_ctxs);
     result.enqueued += pushed.taken;
     // A shed tail on a closed queue is not backpressure: the shard shut
     // down mid-batch, and the caller must treat the tail as unserviceable
     // rather than retryable-on-this-shard.
-    const std::size_t shed = group.size() - pushed.taken;
-    if (pushed.closed) {
-      result.rejected_closed += shed;
-    } else {
-      result.rejected_queue_full += shed;
-    }
-    if (statuses != nullptr) {
-      const Outcome tail_status = pushed.closed
-                                           ? Outcome::kRejectedClosed
-                                           : Outcome::kRejectedQueueFull;
-      for (std::size_t g = 0; g < group.size(); ++g) {
-        (*statuses)[group[g]] =
-            g < pushed.taken ? Outcome::kEnqueued : tail_status;
-      }
+    const Outcome tail =
+        pushed.closed ? Outcome::kRejectedClosed : Outcome::kRejectedQueueFull;
+    (pushed.closed ? result.rejected_closed : result.rejected_queue_full) +=
+        count - pushed.taken;
+    for (std::size_t g = 0; g < count; ++g) {
+      outcomes[scratch.order[begin + g]] =
+          g < pushed.taken ? Outcome::kEnqueued : tail;
     }
   }
   return result;
+}
+
+MetricsSnapshot AdmissionGateway::metrics_snapshot() const {
+  std::vector<std::size_t> depths;
+  depths.reserve(shards_.size());
+  for (const auto& shard : shards_) depths.push_back(shard->queue_size());
+  return metrics_.snapshot(depths);
 }
 
 std::vector<TraceEvent> AdmissionGateway::drain_trace() {
@@ -393,7 +398,7 @@ GatewayResult AdmissionGateway::finish() {
     result.merged.makespan = std::max(result.merged.makespan,
                                       r.metrics.makespan);
   }
-  result.metrics = metrics_.snapshot();
+  result.metrics = metrics_snapshot();
   return result;
 }
 

@@ -214,28 +214,28 @@ class AdmissionGateway {
   AdmissionGateway(const AdmissionGateway&) = delete;
   AdmissionGateway& operator=(const AdmissionGateway&) = delete;
 
-  /// Routes and enqueues one job. Non-blocking; returns kEnqueued or one
-  /// of the kRejected* outcomes. An unavailable home shard spills to the
-  /// next healthy shard (cyclic probe) when failover is enabled; with none
-  /// available the job is shed with kRejectedRetryAfter. `route_ctx` is
-  /// an opaque per-job token: it travels with the job and is echoed
-  /// verbatim to on_decision.
+  /// Routes and enqueues one job: a batch of one through submit_batch's
+  /// path. Non-blocking; returns kEnqueued or one of the kRejected*
+  /// outcomes. `route_ctx` is an opaque per-job token: it travels with the
+  /// job and is echoed verbatim to on_decision.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
-  /// Batched ingest: routes every job, then pushes each shard's group
-  /// under a single queue lock. Jobs keep their relative order within a
-  /// shard. When `statuses` is non-null it is resized to jobs.size() and
-  /// filled with the per-job outcome. `route_ctxs` carries one opaque
-  /// token per job (route_ctxs[i] travels with jobs[i] and is echoed to
-  /// on_decision); empty means 0 for every job.
+  /// Routes every job, then pushes each shard's group with one claim on
+  /// its ring. Jobs keep their relative order within a shard. An
+  /// unavailable home shard spills to the next healthy shard (cyclic
+  /// probe) when failover is enabled; with none available its jobs are
+  /// shed with kRejectedRetryAfter. When `statuses` is non-null it is
+  /// resized to jobs.size() and filled with the per-job outcome.
+  /// `route_ctxs` carries one opaque token per job (route_ctxs[i] travels
+  /// with jobs[i] and is echoed to on_decision); empty means 0 for every
+  /// job.
   BatchSubmitResult submit_batch(
       std::span<const Job> jobs, std::vector<Outcome>* statuses = nullptr,
       std::span<const std::uint64_t> route_ctxs = {});
 
-  /// Lock-free live counters (callable at any time, from any thread).
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
-    return metrics_.snapshot();
-  }
+  /// Lock-free live counters (callable at any time, from any thread); the
+  /// queue_depth gauges are read from the shard rings.
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
   /// Live health of one shard (lock-free).
   [[nodiscard]] ShardHealth shard_health(int shard) const {
@@ -287,6 +287,10 @@ class AdmissionGateway {
   /// Resolves the shard a job actually goes to: the home shard when
   /// available, else the failover target. -1 means shed with retry_after.
   [[nodiscard]] int resolve_target(int home);
+  /// The one submission path behind submit() and submit_batch(): writes
+  /// jobs[i]'s outcome to outcomes[i] and returns the counts.
+  BatchSubmitResult submit_jobs(std::span<const Job> jobs, Outcome* outcomes,
+                                std::span<const std::uint64_t> route_ctxs);
 
   GatewayConfig config_;
   MetricsRegistry metrics_;

@@ -60,15 +60,12 @@ MetricsRegistry::MetricsRegistry(int shards)
       reference.bin_range(kAdmitLatencyBins - 1).second);
 }
 
-void MetricsRegistry::on_enqueued(int shard, std::size_t count) {
+void MetricsRegistry::on_enqueued(int shard, std::size_t count,
+                                  std::size_t depth) {
   if (count == 0) return;
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
   slot.enqueued.fetch_add(count, std::memory_order_relaxed);
-  const auto depth = slot.queue_depth.fetch_add(
-                         static_cast<std::int64_t>(count),
-                         std::memory_order_relaxed) +
-                     static_cast<std::int64_t>(count);
-  raise_peak(slot.peak_queue_depth, static_cast<std::uint64_t>(depth));
+  raise_peak(slot.peak_queue_depth, depth);
 }
 
 void MetricsRegistry::on_backpressure(int shard, std::size_t count) {
@@ -91,11 +88,9 @@ void MetricsRegistry::on_class_shed(int shard, Criticality criticality) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::on_batch(int shard, std::size_t popped) {
-  Slot& slot = slots_[static_cast<std::size_t>(shard)];
-  slot.batches.fetch_add(1, std::memory_order_relaxed);
-  slot.queue_depth.fetch_sub(static_cast<std::int64_t>(popped),
-                             std::memory_order_relaxed);
+void MetricsRegistry::on_batch(int shard) {
+  slots_[static_cast<std::size_t>(shard)].batches.fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 std::size_t MetricsRegistry::on_decision(int shard, double job_volume,
@@ -145,6 +140,19 @@ void MetricsRegistry::on_degraded_reject(int home_shard, std::size_t count) {
       count, std::memory_order_relaxed);
 }
 
+MetricsRegistry::IngestCounts MetricsRegistry::ingest_counts(
+    int shard) const {
+  const Slot& slot = slots_[static_cast<std::size_t>(shard)];
+  IngestCounts counts;
+  counts.shed = slot.backpressure_rejected.load(std::memory_order_relaxed);
+  for (const auto& shed : slot.class_shed) {
+    counts.shed += shed.load(std::memory_order_relaxed);
+  }
+  counts.offered =
+      slot.enqueued.load(std::memory_order_relaxed) + counts.shed;
+  return counts;
+}
+
 std::size_t MetricsRegistry::latency_bin(double seconds) const {
   const auto it = std::upper_bound(latency_edges_.begin(),
                                    latency_edges_.end(), seconds);
@@ -153,7 +161,11 @@ std::size_t MetricsRegistry::latency_bin(double seconds) const {
   return std::min(static_cast<std::size_t>(raw - 1), kAdmitLatencyBins - 1);
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
+MetricsSnapshot MetricsRegistry::snapshot(
+    std::span<const std::size_t> queue_depths) const {
+  SLACKSCHED_EXPECTS(queue_depths.empty() ||
+                     queue_depths.size() ==
+                         static_cast<std::size_t>(shard_count_));
   MetricsSnapshot snap;
   snap.shards.resize(static_cast<std::size_t>(shard_count_));
   std::array<std::uint64_t, kAdmitLatencyBins> bins{};
@@ -169,8 +181,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     row.accepted_volume = slot.accepted_volume.load(std::memory_order_relaxed);
     row.rejected_volume = slot.rejected_volume.load(std::memory_order_relaxed);
     row.latency_sum_seconds = slot.latency_sum.load(std::memory_order_relaxed);
-    row.queue_depth = static_cast<std::size_t>(std::max<std::int64_t>(
-        0, slot.queue_depth.load(std::memory_order_relaxed)));
+    row.queue_depth = queue_depths.empty()
+                          ? 0
+                          : queue_depths[static_cast<std::size_t>(shard)];
     row.peak_queue_depth =
         slot.peak_queue_depth.load(std::memory_order_relaxed);
     row.batches = slot.batches.load(std::memory_order_relaxed);

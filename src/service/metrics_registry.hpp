@@ -3,6 +3,8 @@
 // gateway's producer threads (enqueue/backpressure counters) and each
 // shard's consumer thread (decision counters); every field is an atomic,
 // so snapshot() is a lock-free read that never stalls the ingest path.
+// Queue depth is not counted here: the shard rings own it (see
+// MetricsRegistry::snapshot and ShardMetricsSnapshot::queue_depth).
 //
 // The per-shard decision counters are the live analogue of RunMetrics, and
 // the snapshot carries the same totals the sim/observers dashboard derives
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,10 +44,11 @@ struct ShardMetricsSnapshot {
   /// Sum of admit latencies over all decisions (seconds) — the exact
   /// `_sum` a Prometheus histogram exposes next to its buckets.
   double latency_sum_seconds = 0.0;
-  std::size_t queue_depth = 0;  ///< jobs waiting right now
-  /// High-water mark of queue_depth. The depth counter is maintained
-  /// outside the queue's lock, so under concurrency the observed peak can
-  /// transiently exceed the queue capacity by up to one consumer batch.
+  /// Jobs waiting right now, read from the shard's ring when the snapshot
+  /// is taken (never above the queue capacity).
+  std::size_t queue_depth = 0;
+  /// High-water mark of the ring's depth, sampled after each successful
+  /// push; like the gauge it never exceeds the queue capacity.
   std::size_t peak_queue_depth = 0;
   std::size_t batches = 0;           ///< consumer wake-ups that found work
 
@@ -100,7 +104,9 @@ class MetricsRegistry {
   explicit MetricsRegistry(int shards);
 
   // --- writer side (producers) ---
-  void on_enqueued(int shard, std::size_t count = 1);
+  /// Records `count` jobs pushed onto the shard's ring; `depth` is the
+  /// ring's size() after the push and raises the peak.
+  void on_enqueued(int shard, std::size_t count, std::size_t depth);
   void on_backpressure(int shard, std::size_t count = 1);
   /// Per-class twin of on_enqueued, fed by the same producer call sites.
   void on_class_enqueued(int shard, Criticality criticality,
@@ -109,7 +115,7 @@ class MetricsRegistry {
   void on_class_shed(int shard, Criticality criticality);
 
   // --- writer side (the shard's single consumer thread) ---
-  void on_batch(int shard, std::size_t popped);
+  void on_batch(int shard);
   /// Records one rendered decision. `latency_seconds` is queue-entry to
   /// decision-rendered wall time; `criticality` attributes the decision to
   /// its class family. Returns the latency bin the decision landed in so
@@ -128,11 +134,24 @@ class MetricsRegistry {
 
   [[nodiscard]] int shards() const { return shard_count_; }
 
+  /// Every job offered to one shard so far, and the shed part of it:
+  /// offered = enqueued + backpressure_rejected + criticality_shed, shed =
+  /// the last two. The elastic capacity controller reads deltas of these
+  /// at batch boundaries as its shed-rate window.
+  struct IngestCounts {
+    std::uint64_t offered = 0;
+    std::uint64_t shed = 0;
+  };
+  [[nodiscard]] IngestCounts ingest_counts(int shard) const;
+
   /// Point-in-time copy of every counter. Reads are relaxed atomics: the
   /// snapshot is internally consistent per counter, not a cross-counter
   /// linearization (totals can be mid-update by one job) — exactly the
-  /// guarantee a live dashboard needs.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
+  /// guarantee a live dashboard needs. The registry keeps no depth gauge:
+  /// `queue_depths` (one entry per shard, read from the rings by the
+  /// owner) fills queue_depth; empty reports 0 for every shard.
+  [[nodiscard]] MetricsSnapshot snapshot(
+      std::span<const std::size_t> queue_depths = {}) const;
 
   /// The latency bin (0..kAdmitLatencyBins-1) a decision latency falls
   /// into; out-of-range latencies clamp into the edge bins (the merged
@@ -153,7 +172,6 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> wal_truncations{0};
     std::atomic<std::uint64_t> failovers{0};
     std::atomic<std::uint64_t> degraded_rejected{0};
-    std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
     // Single-writer (the shard consumer): plain load+store suffices.
     std::atomic<double> accepted_volume{0.0};

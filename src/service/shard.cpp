@@ -137,8 +137,7 @@ void Shard::spawn(bool is_restart) {
   controller_.reset();
   retiring_machine_ = -1;
   sim_now_ = 0.0;
-  offered_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
+  window_base_ = metrics_.ingest_counts(index_);
   if (config_.elastic.has_value() && scheduler_->supports_elastic()) {
     controller_.emplace(*config_.elastic);
     for (int m = 0; m < scheduler_->machines(); ++m) {
@@ -154,35 +153,16 @@ void Shard::spawn(bool is_restart) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
-Outcome Shard::try_enqueue(const Job& job, Clock::time_point now, int home,
-                           std::uint64_t route_ctx) {
-  if (config_.elastic.has_value()) {
-    offered_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (SLACKSCHED_FAULT_FIRES(config_.faults, FaultSite::kEnqueue, index_)) {
-    metrics_.on_backpressure(index_);
-    return Outcome::kRejectedQueueFull;  // simulated ingest drop
-  }
-  if (queue_.try_push(
-          Task{job, now, static_cast<std::int16_t>(home < 0 ? index_ : home),
-               route_ctx})) {
-    metrics_.on_enqueued(index_);
-    metrics_.on_class_enqueued(index_, job.criticality);
-    return Outcome::kEnqueued;
-  }
-  if (queue_.closed()) return Outcome::kRejectedClosed;
-  metrics_.on_backpressure(index_);
-  if (config_.elastic.has_value()) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Outcome::kRejectedQueueFull;
-}
-
 Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     const Job* jobs, const std::uint32_t* indices, std::size_t count,
     Clock::time_point now, const std::int16_t* homes,
     std::span<const std::uint64_t> route_ctxs) {
   BatchEnqueueResult result;
+  // The ingest-drop fault refuses this whole push attempt as a full queue.
+  if (SLACKSCHED_FAULT_FIRES(config_.faults, FaultSite::kEnqueue, index_)) {
+    metrics_.on_backpressure(index_, count);
+    return result;
+  }
   // Tasks are constructed directly in their claimed ring cells: the batch
   // producer path performs no staging copy and no heap allocation.
   std::array<std::size_t, kCriticalityCount> per_class{};
@@ -195,19 +175,17 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
         slot.route_ctx = route_ctxs.empty() ? 0 : route_ctxs[indices[i]];
         ++per_class[criticality_index(slot.job.criticality)];
       });
-  metrics_.on_enqueued(index_, result.taken);
-  for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-    metrics_.on_class_enqueued(index_, static_cast<Criticality>(cls),
-                               per_class[cls]);
+  if (result.taken > 0) {
+    // The ring is the only depth source: its size() never exceeds the
+    // capacity, so neither does the peak raised from it.
+    metrics_.on_enqueued(index_, result.taken, queue_.size());
+    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
+      metrics_.on_class_enqueued(index_, static_cast<Criticality>(cls),
+                                 per_class[cls]);
+    }
   }
   if (!result.closed) {
     metrics_.on_backpressure(index_, count - result.taken);
-  }
-  if (config_.elastic.has_value()) {
-    offered_.fetch_add(count, std::memory_order_relaxed);
-    if (!result.closed) {
-      shed_.fetch_add(count - result.taken, std::memory_order_relaxed);
-    }
   }
   return result;
 }
@@ -298,7 +276,7 @@ void Shard::worker_loop() {
         if (popped.closed) break;  // closed and drained
         continue;                  // idle wake: heartbeat already advanced
       }
-      metrics_.on_batch(index_, popped.count);
+      metrics_.on_batch(index_);
       // Crash after the pop, before any decision: the popped jobs are lost
       // undecided (never accepted, so nothing durable is owed for them).
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
@@ -346,14 +324,14 @@ void Shard::run_capacity_control() {
                                  index_);
   }
 
-  // 2. One observation per consumed batch.
-  const std::uint64_t offered =
-      offered_.exchange(0, std::memory_order_relaxed);
-  const std::uint64_t shed = shed_.exchange(0, std::memory_order_relaxed);
-  controller_->observe(scheduler_->busy_machines(sim_now_),
-                       scheduler_->active_machines(),
-                       static_cast<std::size_t>(shed),
-                       static_cast<std::size_t>(offered));
+  // 2. One observation per consumed batch. The shed-rate window is the
+  // registry's ingest counts since the previous observation.
+  const MetricsRegistry::IngestCounts counts = metrics_.ingest_counts(index_);
+  controller_->observe(
+      scheduler_->busy_machines(sim_now_), scheduler_->active_machines(),
+      static_cast<std::size_t>(counts.shed - window_base_.shed),
+      static_cast<std::size_t>(counts.offered - window_base_.offered));
+  window_base_ = counts;
 
   // 3. Apply at most one decision.
   switch (controller_->decide(scheduler_->active_machines())) {
@@ -403,21 +381,9 @@ void Shard::on_resolution(const Job& job, const Decision& decision) {
       if (same_id.empty()) deferred_ctx_.erase(parked);
     }
   }
-  const std::size_t latency_bin = metrics_.on_decision(
-      index_, job.proc, decision.accepted, 0.0, job.criticality);
-  if (config_.trace != nullptr) {
-    TraceEvent event;
-    event.job_id = job.id;
-    event.home_shard = static_cast<std::int16_t>(index_);
-    event.shard = static_cast<std::int16_t>(index_);
-    event.kind = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
-    event.latency_bin = static_cast<std::uint8_t>(latency_bin);
-    event.fsync_class = wal_ != nullptr
-                            ? static_cast<std::uint8_t>(config_.wal_fsync)
-                            : kTraceNoWal;
-    config_.trace->record(event);
-  }
-  if (config_.on_decision) config_.on_decision(job, decision, route_ctx);
+  // The job left the queue when it was fed: zero queue latency.
+  publish_decision(job, decision, static_cast<std::int16_t>(index_), 0.0,
+                   route_ctx);
 }
 
 void Shard::process(const Task& task) {
@@ -440,16 +406,22 @@ void Shard::process(const Task& task) {
   }
   const double latency =
       std::chrono::duration<double>(Clock::now() - task.enqueued_at).count();
+  publish_decision(task.job, outcome.decision, task.home, latency,
+                   task.route_ctx);
+}
+
+void Shard::publish_decision(const Job& job, const Decision& decision,
+                             std::int16_t home, double latency_seconds,
+                             std::uint64_t route_ctx) {
   const std::size_t latency_bin =
-      metrics_.on_decision(index_, task.job.proc, outcome.decision.accepted,
-                           latency, task.job.criticality);
+      metrics_.on_decision(index_, job.proc, decision.accepted,
+                           latency_seconds, job.criticality);
   if (config_.trace != nullptr) {
     TraceEvent event;
-    event.job_id = task.job.id;
-    event.home_shard = task.home;
+    event.job_id = job.id;
+    event.home_shard = home;
     event.shard = static_cast<std::int16_t>(index_);
-    event.kind = outcome.decision.accepted ? Outcome::kAccepted
-                                           : Outcome::kRejected;
+    event.kind = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
     event.latency_bin = static_cast<std::uint8_t>(latency_bin);
     event.fsync_class = wal_ != nullptr
                             ? static_cast<std::uint8_t>(config_.wal_fsync)
@@ -458,9 +430,7 @@ void Shard::process(const Task& task) {
   }
   // Notify last: the decision is validated, counted and traced before any
   // downstream consumer (e.g. the network front end) can observe it.
-  if (config_.on_decision) {
-    config_.on_decision(task.job, outcome.decision, task.route_ctx);
-  }
+  if (config_.on_decision) config_.on_decision(job, decision, route_ctx);
 }
 
 }  // namespace slacksched

@@ -50,7 +50,7 @@ using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 
 /// Per-decision notification hook (see ShardConfig::on_decision).
 /// `route_ctx` is the opaque per-job token the producer passed to
-/// try_enqueue / try_enqueue_batch (0 when none): the network front end
+/// try_enqueue_batch (0 when none): the network front end
 /// stores a reply-slot token there, naming both the event loop that owns
 /// the submitting connection and the slot holding that submission's
 /// reply address, so a decision goes straight back to its submitter.
@@ -132,22 +132,17 @@ class Shard {
   /// configured and a log already exists). Must be called exactly once.
   void start();
 
-  /// Non-blocking enqueue of one job. Metrics are updated on enqueue and
-  /// backpressure; a kRejectedClosed refusal is not backpressure (the
-  /// shard is gone, not busy). `home` is the shard the router originally
-  /// chose (recorded in trace events; -1 means "this shard").
-  /// `route_ctx` travels with the job and is echoed to on_decision.
-  [[nodiscard]] Outcome try_enqueue(const Job& job, Clock::time_point now,
-                                    int home = -1,
-                                    std::uint64_t route_ctx = 0);
-
-  /// Enqueues jobs[indices[0..count)] in order under one queue lock. The
+  /// The only enqueue: pushes jobs[indices[0..count)] in order with one
+  /// claim on the ring (a single job is a batch of one). Non-blocking. The
   /// accepted prefix is counted as enqueued; a shed tail is counted as
-  /// backpressure only when the queue was full, not when it was closed.
+  /// backpressure only when the queue was full, not when it was closed
+  /// (the shard is gone, not busy). An armed FaultSite::kEnqueue fires
+  /// once per call and refuses all `count` jobs as a full queue.
   /// `homes`, when non-null, carries the router's home shard for each
-  /// offered job (parallel to `indices`). `route_ctxs` is empty (every
-  /// job's context is 0) or indexed like `jobs`: job jobs[indices[i]]
-  /// travels with route_ctxs[indices[i]].
+  /// offered job (parallel to `indices`; null means "this shard"), which
+  /// trace events record. `route_ctxs` is empty (every job's context is 0)
+  /// or indexed like `jobs`: job jobs[indices[i]] travels with
+  /// route_ctxs[indices[i]] and is echoed to on_decision.
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, const std::int16_t* homes = nullptr,
@@ -180,15 +175,6 @@ class Shard {
   [[nodiscard]] bool queue_closed() const { return queue_.closed(); }
   [[nodiscard]] const OnlineScheduler& scheduler() const {
     return *scheduler_;
-  }
-
-  /// Counts one job the gateway's class-aware policy shed before it ever
-  /// reached this shard's queue — the shed feeds the capacity controller's
-  /// shed-rate signal (a class shed is a capacity signal exactly like
-  /// backpressure). Callable from any producer thread.
-  void note_policy_shed() {
-    offered_.fetch_add(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// The machine currently draining for retirement (-1 when none).
@@ -232,9 +218,14 @@ class Shard {
   /// observation, apply its grow/shrink decision, WAL the resize.
   void run_capacity_control();
   void process(const Task& task);
-  /// Bookkeeping for a deferred job's binding decision (metrics, trace,
-  /// notification) — the resolution-hook twin of process()'s tail.
+  /// A deferred job's binding decision: finds its parked context and
+  /// publishes it like process() publishes an immediate one.
   void on_resolution(const Job& job, const Decision& decision);
+  /// The one tail of every rendered decision, immediate or resolved:
+  /// metrics, trace event, then the on_decision notification.
+  void publish_decision(const Job& job, const Decision& decision,
+                        std::int16_t home, double latency_seconds,
+                        std::uint64_t route_ctx);
   void set_error(std::string message);
 
   /// δ-commitment schedulers defer a job's binding decision past its
@@ -273,10 +264,9 @@ class Shard {
   /// Latest release time fed to the engine — the simulated "now" frontier
   /// utilization and drain checks are evaluated at.
   TimePoint sim_now_ = 0.0;
-  /// Producer-side window counters the controller consumes (offered
-  /// submissions / shed submissions since the last observation).
-  std::atomic<std::uint64_t> offered_{0};
-  std::atomic<std::uint64_t> shed_{0};
+  /// The registry's ingest counts at the controller's last observation:
+  /// each observation's window is the delta since then.
+  MetricsRegistry::IngestCounts window_base_;
   RunResult result_;  ///< taken from runner_ when the consumer exits
   bool started_ = false;
   bool joined_ = false;

@@ -147,6 +147,51 @@ TEST(FaultInjection, EnqueueFaultLooksLikeOneBackpressureRefusal) {
   EXPECT_EQ(result.metrics.total.backpressure_rejected, 1u);
 }
 
+TEST(FaultInjection, EnqueueFaultRefusesBatchSubmissionLikeAFullQueue) {
+  // The ingest-drop site fires once per push attempt, so one armed hit
+  // refuses a whole batch's push as a full queue, and the next call goes
+  // through. Batches and single submissions share the one enqueue.
+  FaultPlan plan;
+  plan.add({FaultSite::kEnqueue, 0, 1});
+  FaultInjector injector(plan);
+
+  GatewayConfig config;
+  config.shards = 1;
+  config.supervisor.enabled = false;
+  config.fault_injector = &injector;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<ThresholdScheduler>(kEps, 2); });
+
+  std::vector<Job> jobs;
+  for (JobId id = 1; id <= 3; ++id) {
+    Job job;
+    job.id = id;
+    job.release = 0.0;
+    job.proc = 1.0;
+    job.deadline = 10.0;
+    jobs.push_back(job);
+  }
+  std::vector<Outcome> statuses;
+  const BatchSubmitResult refused = gateway.submit_batch(jobs, &statuses);
+  EXPECT_EQ(refused.rejected_queue_full, jobs.size());
+  EXPECT_EQ(refused.enqueued, 0u);
+  ASSERT_EQ(statuses.size(), jobs.size());
+  for (const Outcome status : statuses) {
+    EXPECT_EQ(status, Outcome::kRejectedQueueFull);
+  }
+
+  const BatchSubmitResult taken = gateway.submit_batch(jobs, &statuses);
+  EXPECT_EQ(taken.enqueued, jobs.size());
+  for (const Outcome status : statuses) {
+    EXPECT_EQ(status, Outcome::kEnqueued);
+  }
+  const GatewayResult result = gateway.finish();
+  EXPECT_EQ(injector.fired(), 1u);
+  EXPECT_EQ(result.merged.submitted, jobs.size());
+  EXPECT_EQ(result.metrics.total.enqueued, jobs.size());
+  EXPECT_EQ(result.metrics.total.backpressure_rejected, jobs.size());
+}
+
 /// The acceptance property: a randomized workload, a seeded random crash
 /// site, a 1-shard WAL-backed gateway under fsync=every-commit. After the
 /// run (crash, supervised restart, replay, resume), the committed schedule

@@ -45,6 +45,13 @@ using net::AdmissionServerConfig;
 
 constexpr double kEps = 0.1;
 
+/// Offers one job straight to a shard: a batch of one.
+bool enqueue_one(Shard& shard, const Job& job) {
+  const std::uint32_t only = 0;
+  return shard.try_enqueue_batch(&job, &only, 1, Shard::Clock::now()).taken ==
+         1;
+}
+
 /// True iff some validate() message contains the needle — the contract is
 /// "one human-readable message per problem", so tests match substrings,
 /// not exact strings.
@@ -929,7 +936,7 @@ ElasticRunOutcome run_elastic_shard(const std::string& wal_path,
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, 2); },
       config, metrics);
   for (const Job& job : elastic_two_phase_jobs()) {
-    EXPECT_EQ(shard.try_enqueue(job, Shard::Clock::now()), Outcome::kEnqueued);
+    EXPECT_TRUE(enqueue_one(shard, job));
   }
   shard.close();
   shard.start();
@@ -1067,7 +1074,7 @@ TEST(ElasticChaos, SigkillMidResizeReplaysDeterministically) {
         0, [] { return std::make_unique<ThresholdScheduler>(0.5, 2); },
         config, metrics);
     for (const Job& job : elastic_two_phase_jobs()) {
-      if (shard.try_enqueue(job, Shard::Clock::now()) != Outcome::kEnqueued) {
+      if (!enqueue_one(shard, job)) {
         ::_exit(2);
       }
     }

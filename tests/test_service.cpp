@@ -8,7 +8,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,39 @@
 #include "sched/validator.hpp"
 #include "service/gateway.hpp"
 #include "workload/generators.hpp"
+
+// Heap allocations made by the calling thread: the steady-state
+// submission test counts its own thread only, so shard consumers and
+// other tests' threads cannot disturb it.
+namespace {
+thread_local std::uint64_t t_heap_allocs = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++t_heap_allocs;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// Every unaligned form is replaced, so each allocation and its release
+// pair up as malloc/free (sanitizers check that pairing).
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_heap_allocs;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace slacksched {
 namespace {
@@ -75,20 +111,24 @@ TEST(Router, SingleShardAlwaysZero) {
 
 TEST(MetricsRegistry, CountsAndAggregates) {
   MetricsRegistry registry(2);
-  registry.on_enqueued(0, 3);
-  registry.on_enqueued(1);
+  registry.on_enqueued(0, 3, /*depth=*/3);
+  registry.on_enqueued(1, 1, /*depth=*/1);
   registry.on_backpressure(0, 2);
-  registry.on_batch(0, 3);
+  registry.on_batch(0);
   registry.on_decision(0, 5.0, true, 1e-5);
   registry.on_decision(0, 2.0, false, 1e-4);
   registry.on_decision(1, 1.5, true, 1e-3);
 
-  const MetricsSnapshot snap = registry.snapshot();
+  // The live depths come from the rings: shard 0 drained, shard 1 not.
+  const std::array<std::size_t, 2> depths{0, 1};
+  const MetricsSnapshot snap = registry.snapshot(depths);
   ASSERT_EQ(snap.shards.size(), 2u);
   EXPECT_EQ(snap.shards[0].enqueued, 3u);
   EXPECT_EQ(snap.shards[0].backpressure_rejected, 2u);
   EXPECT_EQ(snap.shards[0].peak_queue_depth, 3u);
   EXPECT_EQ(snap.shards[0].queue_depth, 0u);
+  EXPECT_EQ(snap.shards[1].queue_depth, 1u);
+  EXPECT_EQ(snap.total.queue_depth, 1u);
   EXPECT_EQ(snap.shards[0].accepted, 1u);
   EXPECT_EQ(snap.shards[0].rejected, 1u);
   EXPECT_DOUBLE_EQ(snap.shards[0].accepted_volume, 5.0);
@@ -141,10 +181,11 @@ TEST(MetricsRegistry, PeakQueueDepthAggregatesAsMaxNotSum) {
   // Regression: the aggregate peak used to SUM per-shard high-water
   // marks, reporting a backlog that never existed at any single instant.
   MetricsRegistry registry(2);
-  registry.on_enqueued(0, 3);  // shard 0 peak: 3
-  registry.on_batch(0, 3);
-  registry.on_enqueued(1, 5);  // shard 1 peak: 5
-  registry.on_batch(1, 5);
+  registry.on_enqueued(0, 3, /*depth=*/3);  // shard 0 peak: 3
+  registry.on_batch(0);
+  registry.on_enqueued(0, 1, /*depth=*/1);  // shallower: the peak stays
+  registry.on_enqueued(1, 5, /*depth=*/5);  // shard 1 peak: 5
+  registry.on_batch(1);
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.shards[0].peak_queue_depth, 3u);
   EXPECT_EQ(snap.shards[1].peak_queue_depth, 5u);
@@ -311,6 +352,116 @@ TEST(Gateway, ConcurrentProducersAccountForEveryJob) {
   EXPECT_EQ(enqueued + shed, kProducers * kPerProducer);
   EXPECT_EQ(result.merged.submitted, enqueued.load());
   EXPECT_EQ(result.metrics.total.backpressure_rejected, shed.load());
+}
+
+/// Drives a 1-shard gateway (capacity 64) from 4 producers, mixing single
+/// submissions and small batches, while sampling metrics_snapshot(). The
+/// ring is the only depth source, so every sampled depth and the final
+/// peak must stay within the capacity however producers and the consumer
+/// interleave.
+void expect_depth_within_capacity(const ShardSchedulerFactory& factory,
+                                  bool saturates) {
+  constexpr std::size_t kCapacity = 64;
+  GatewayConfig config;
+  config.shards = 1;
+  config.queue_capacity = kCapacity;
+  AdmissionGateway gateway(config, factory);
+
+  constexpr int kProducers = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> offered{0};
+  std::atomic<std::size_t> enqueued{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      JobId id = static_cast<JobId>(p) << 32;
+      std::vector<Job> batch;
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (gateway.submit(make_job(id++, 0.0, 1.0, 1e9)) ==
+            Outcome::kEnqueued) {
+          ++enqueued;
+        }
+        batch.clear();
+        for (int k = 0; k < 5; ++k) {
+          batch.push_back(make_job(id++, 0.0, 1.0, 1e9));
+        }
+        enqueued += gateway.submit_batch(batch).enqueued;
+        offered += 1 + batch.size();
+      }
+    });
+  }
+  std::size_t samples = 0;
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(150);
+  while (std::chrono::steady_clock::now() < until) {
+    const MetricsSnapshot snap = gateway.metrics_snapshot();
+    ASSERT_LE(snap.shards[0].queue_depth, kCapacity);
+    ASSERT_LE(snap.total.queue_depth, kCapacity);
+    ASSERT_LE(snap.total.peak_queue_depth, kCapacity);
+    ++samples;
+  }
+  stop = true;
+  for (auto& t : producers) t.join();
+  const GatewayResult result = gateway.finish();
+  EXPECT_GT(samples, 0u);
+  if (saturates) {
+    EXPECT_GT(result.metrics.total.backpressure_rejected, 0u)
+        << "the producers never filled the queue";
+  }
+  EXPECT_GT(result.metrics.total.peak_queue_depth, 0u);
+  EXPECT_LE(result.metrics.total.peak_queue_depth, kCapacity);
+  EXPECT_EQ(result.metrics.total.queue_depth, 0u);
+  EXPECT_EQ(result.metrics.total.enqueued, enqueued.load());
+  EXPECT_EQ(result.metrics.total.enqueued +
+                result.metrics.total.backpressure_rejected,
+            offered.load());
+}
+
+TEST(Gateway, QueueDepthNeverExceedsCapacityUnderConcurrentProducers) {
+  // A slow consumer keeps the ring full: the peak meets the capacity and
+  // must not pass it.
+  expect_depth_within_capacity(
+      [](int) { return std::make_unique<SlowScheduler>(); },
+      /*saturates=*/true);
+}
+
+TEST(Gateway, QueueDepthNeverWrapsWhenTheConsumerRacesProducers) {
+  // A fast consumer often pops a job before its producer has counted the
+  // push. The old shadow counter went negative there, and the peak it
+  // raised wrapped to 2^64 - 1.
+  expect_depth_within_capacity(
+      [](int) { return std::make_unique<GreedyScheduler>(2); },
+      /*saturates=*/false);
+}
+
+TEST(Gateway, SteadyStateSubmissionMakesNoHeapAllocation) {
+  // submit() and submit_batch() share one body whose grouping scratch is
+  // kept per producer thread: once it is sized, ingest allocates nothing.
+  GatewayConfig config;
+  config.shards = 2;
+  config.queue_capacity = 4096;
+  config.record_decisions = false;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+  std::vector<Job> batch;
+  std::vector<std::uint64_t> ctxs;
+  for (JobId id = 0; id < 8; ++id) {
+    batch.push_back(make_job(id, 0.0, 1.0, 1e9));
+    ctxs.push_back(static_cast<std::uint64_t>(id) + 100);
+  }
+  std::vector<Outcome> statuses;
+  const auto round = [&] {
+    (void)gateway.submit(batch[0], 7);
+    (void)gateway.submit_batch(batch, &statuses, ctxs);
+    (void)gateway.submit_batch(batch);
+  };
+  round();  // the first call on this thread sizes its scratch
+  const std::uint64_t before = t_heap_allocs;
+  for (int r = 0; r < 100; ++r) round();
+  EXPECT_EQ(t_heap_allocs - before, 0u);
+  const GatewayResult result = gateway.finish();
+  EXPECT_EQ(result.metrics.total.enqueued, 101u * 17u);
 }
 
 // ---------- gateway: commitment violations ----------
