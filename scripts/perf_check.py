@@ -79,7 +79,8 @@ bench/bench_env.hpp — producers, hardware_concurrency, pinned, loop_mode
 recording machine was physically able to produce.
 
 Only the Python standard library is used. Exit status 0 iff every check
-passes; each failure is printed on its own line.
+passes; each failure is printed on its own line, and a file's "ok:"
+summary line is printed only when that file had no failure.
 
 Usage:
   scripts/perf_check.py [--threshold-json PATH] [--service-json PATH]
@@ -125,17 +126,61 @@ def check_provenance(path: Path, data: dict, errors: list[str]) -> None:
         fail(errors, f"{path}: hardware_concurrency={cores} (must be >= 1)")
 
 
-def check_threshold(path: Path, min_speedup: float, large_m: int,
-                    errors: list[str]) -> None:
+def load(path: Path, bench_id: str, errors: list[str]) -> dict | None:
+    """The artifact's JSON, or None (after a FAIL) when it is another
+    bench's; its provenance is checked here, once for every artifact."""
     data = json.loads(path.read_text())
-    if data.get("bench") != "threshold_scaling":
+    if data.get("bench") != bench_id:
         fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
+        return None
     check_provenance(path, data, errors)
+    return data
+
+
+def require_clean(errors: list[str], row: dict, label: str,
+                  message: str = "did not finish clean") -> None:
+    """The per-row clean flag every bench records."""
+    if not row.get("clean", False):
+        fail(errors, f"{label} {message}")
+
+
+def scaling_gate(path: Path, data: dict, rates: dict, unit: str,
+                 subject: str, errors: list[str]) -> None:
+    """The best multi-`unit` rate must beat the 1-`unit` rate.
+
+    A multi-core recording machine on which no multi-unit configuration
+    beats one unit means the fan-out costs more than it buys: a hard
+    failure. With fewer than 4 hardware threads the units share a core
+    and physically cannot demonstrate scaling, so the assertion is
+    skipped *loudly* rather than passed silently."""
+    cores = data.get("hardware_concurrency", 0)
+    base = rates.get(1, 0.0)
+    multi = {n: r for n, r in rates.items() if isinstance(n, int) and n > 1}
+    if base <= 0.0 or not multi:
+        return
+    best, best_rate = max(multi.items(), key=lambda kv: kv[1])
+    speedup = best_rate / base
+    if isinstance(cores, int) and cores >= 4:
+        if speedup <= 1.0:
+            fail(errors, f"{path}: best multi-{unit} throughput "
+                         f"({best} {unit}s) is {speedup:.2f}x the "
+                         f"1-{unit} rate on {cores} hardware threads — "
+                         f"{subject} must not lose to a single {unit} on "
+                         "a multi-core host")
+    else:
+        print(f"WARN: {path}: {unit}-scaling assertion SKIPPED — "
+              f"recorded on {cores} hardware thread(s), fewer than the "
+              f"4 needed to demonstrate scaling across "
+              f"{max(multi)} {unit}s (best observed: {speedup:.2f}x at "
+              f"{best} {unit}s)")
+
+
+def check_threshold(path: Path, data: dict, min_speedup: float,
+                    large_m: int, errors: list[str]) -> str | None:
     runs = data.get("runs", [])
     if not runs:
         fail(errors, f"{path}: no runs recorded")
-        return
+        return None
     machines = sorted(run.get("machines", 0) for run in runs)
     if machines[-1] < large_m:
         fail(errors, f"{path}: largest m is {machines[-1]}, "
@@ -165,24 +210,18 @@ def check_threshold(path: Path, min_speedup: float, large_m: int,
                 fail(errors, f"{prefix}: speedup {speedup:.2f}x below the "
                              f"{min_speedup:.2f}x floor")
     ok_rows = sum(1 for run in runs if run.get("decisions_identical"))
-    print(f"ok: {path}: {len(runs)} configurations, {ok_rows} with identical "
-          "decision streams")
+    return (f"{len(runs)} configurations, {ok_rows} with identical "
+            "decision streams")
 
 
-def check_service(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "service_throughput":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
+def check_service(path: Path, data: dict, errors: list[str]) -> str | None:
     runs = data.get("runs", [])
     if not runs:
         fail(errors, f"{path}: no runs recorded")
-        return
+        return None
     for run in runs:
         shards = run.get("shards")
-        if not run.get("clean", False):
-            fail(errors, f"{path}: shards={shards} did not finish clean")
+        require_clean(errors, run, f"{path}: shards={shards}")
         if run.get("jobs_per_sec", 0.0) <= 0.0:
             fail(errors, f"{path}: shards={shards} reports non-positive "
                          "throughput")
@@ -196,35 +235,10 @@ def check_service(path: Path, errors: list[str]) -> None:
         elif peak > capacity:
             fail(errors, f"{path}: shards={shards} peak_queue_depth {peak} "
                          f"exceeds queue_capacity {capacity}")
-
-    # Shard-scaling gate. A multi-core recording machine that cannot beat
-    # the 1-shard configuration with any multi-shard one means the
-    # fan-out machinery costs more than it buys — a hard failure. A
-    # machine with fewer than 4 hardware threads physically cannot
-    # demonstrate scaling (the shard consumers share one core), so the
-    # assertion is skipped *loudly* rather than passed silently.
-    cores = data.get("hardware_concurrency", 0)
-    rate_by_shards = {run.get("shards"): run.get("jobs_per_sec", 0.0)
-                      for run in runs}
-    base = rate_by_shards.get(1, 0.0)
-    multi = {s: r for s, r in rate_by_shards.items()
-             if isinstance(s, int) and s > 1}
-    if base > 0.0 and multi:
-        best_shards, best_rate = max(multi.items(), key=lambda kv: kv[1])
-        speedup = best_rate / base
-        if isinstance(cores, int) and cores >= 4:
-            if speedup <= 1.0:
-                fail(errors, f"{path}: best multi-shard throughput "
-                             f"({best_shards} shards) is {speedup:.2f}x the "
-                             f"1-shard rate on {cores} hardware threads — "
-                             "sharding must not lose to a single shard on "
-                             "a multi-core host")
-        else:
-            print(f"WARN: {path}: shard-scaling assertion SKIPPED — "
-                  f"recorded on {cores} hardware thread(s), fewer than the "
-                  f"4 needed to demonstrate scaling across "
-                  f"{max(multi)} shards (best observed: {speedup:.2f}x at "
-                  f"{best_shards} shards)")
+    scaling_gate(path, data,
+                 {run.get("shards"): run.get("jobs_per_sec", 0.0)
+                  for run in runs},
+                 "shard", "sharding", errors)
 
     # Open-loop sweep: latency percentiles must be present, positive and
     # ordered, with one per-shard rate per shard.
@@ -234,8 +248,7 @@ def check_service(path: Path, errors: list[str]) -> None:
     for run in open_runs:
         shards = run.get("shards")
         prefix = f"{path}: open-loop shards={shards}"
-        if not run.get("clean", False):
-            fail(errors, f"{prefix} did not finish clean")
+        require_clean(errors, run, prefix)
         for key in ("admit_latency_p50", "admit_latency_p99",
                     "admit_latency_p999"):
             if key not in run:
@@ -253,23 +266,18 @@ def check_service(path: Path, errors: list[str]) -> None:
                          f"got {len(per_shard)}")
         if run.get("decided_per_sec", 0.0) <= 0.0:
             fail(errors, f"{prefix}: non-positive decision throughput")
-    print(f"ok: {path}: {len(runs)} closed-loop + {len(open_runs)} "
-          "open-loop shard configurations, all clean")
+    return (f"{len(runs)} closed-loop + {len(open_runs)} open-loop shard "
+            "configurations, all clean")
 
 
-def check_recovery(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "recovery_replay":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
+def check_recovery(path: Path, data: dict, errors: list[str]) -> str | None:
     appends = data.get("append", [])
     replays = data.get("replay", [])
     if not appends or not replays:
         fail(errors, f"{path}: missing append/replay runs")
-        return
-    if not data.get("clean", False):
-        fail(errors, f"{path}: the bench itself reported an unclean pass")
+        return None
+    require_clean(errors, data, f"{path}:",
+                  "the bench itself reported an unclean pass")
 
     rate_by_policy: dict[str, float] = {}
     for run in appends:
@@ -289,9 +297,8 @@ def check_recovery(path: Path, errors: list[str]) -> None:
 
     for run in replays:
         records = run.get("records")
-        if not run.get("clean", False):
-            fail(errors, f"{path}: replay of {records} records was not "
-                         "clean (lost or invalid records)")
+        require_clean(errors, run, f"{path}: replay of {records} records",
+                      "was not clean (lost or invalid records)")
         if run.get("records_per_sec", 0.0) <= 0.0:
             fail(errors, f"{path}: replay of {records} records reports "
                          "non-positive rate")
@@ -302,26 +309,20 @@ def check_recovery(path: Path, errors: list[str]) -> None:
                      "recovery")
     if not torn.get("clean_on_second_pass", False):
         fail(errors, f"{path}: log not clean after torn-tail truncation")
-    print(f"ok: {path}: {len(appends)} fsync policies, {len(replays)} "
-          "replay sizes, torn tail handled")
+    return (f"{len(appends)} fsync policies, {len(replays)} replay sizes, "
+            "torn tail handled")
 
 
-def check_net(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "net_throughput":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
+def check_net(path: Path, data: dict, errors: list[str]) -> str | None:
     runs = data.get("runs", [])
     if not runs:
         fail(errors, f"{path}: no runs recorded")
-        return
+        return None
     for run in runs:
         config = (f"loops={run.get('loops', 1)} "
                   f"connections={run.get('connections')} "
                   f"batch={run.get('batch')}")
-        if not run.get("clean", False):
-            fail(errors, f"{path}: {config} did not finish clean")
+        require_clean(errors, run, f"{path}: {config}")
         if run.get("answered") != run.get("jobs"):
             fail(errors, f"{path}: {config} answered "
                          f"{run.get('answered')} of {run.get('jobs')} "
@@ -330,63 +331,35 @@ def check_net(path: Path, errors: list[str]) -> None:
             fail(errors, f"{path}: {config} reports non-positive "
                          "throughput")
 
-    # Loop-scaling gate, mirroring the shard-scaling one: a multi-core
-    # recording machine where no multi-loop configuration beats the
-    # 1-loop server means the shared-nothing loop fan-out costs more than
-    # it buys — a hard failure. Under 4 hardware threads the loops (and
-    # the shard consumers behind them) share one core, so the assertion
-    # is skipped *loudly* rather than passed silently. Artifacts from
-    # before the multi-loop front end have no "loops" field; those rows
-    # are the single-loop server.
-    cores = data.get("hardware_concurrency", 0)
+    # Artifacts from before the multi-loop front end have no "loops"
+    # field; those rows are the single-loop server.
     rate_by_loops: dict[int, float] = {}
     for run in runs:
         loops = run.get("loops", 1)
         if isinstance(loops, int):
             rate_by_loops[loops] = max(rate_by_loops.get(loops, 0.0),
                                        run.get("jobs_per_sec", 0.0))
-    base = rate_by_loops.get(1, 0.0)
-    multi = {n: r for n, r in rate_by_loops.items() if n > 1}
-    if base > 0.0 and multi:
-        best_loops, best_rate = max(multi.items(), key=lambda kv: kv[1])
-        speedup = best_rate / base
-        if isinstance(cores, int) and cores >= 4:
-            if speedup <= 1.0:
-                fail(errors, f"{path}: best multi-loop throughput "
-                             f"({best_loops} loops) is {speedup:.2f}x the "
-                             f"1-loop rate on {cores} hardware threads — "
-                             "the multi-loop front end must not lose to a "
-                             "single loop on a multi-core host")
-        else:
-            print(f"WARN: {path}: loop-scaling assertion SKIPPED — "
-                  f"recorded on {cores} hardware thread(s), fewer than the "
-                  f"4 needed to demonstrate scaling across "
-                  f"{max(multi)} loops (best observed: {speedup:.2f}x at "
-                  f"{best_loops} loops)")
-    print(f"ok: {path}: {len(runs)} loop/connection/batch configurations, "
-          "all clean, every submission answered")
+    scaling_gate(path, data, rate_by_loops, "loop",
+                 "the multi-loop front end", errors)
+    return (f"{len(runs)} loop/connection/batch configurations, all clean, "
+            "every submission answered")
 
 
-def check_matrix(path: Path, threshold_json: str, min_ratio: float,
-                 errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "model_matrix":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
+def check_matrix(path: Path, data: dict, threshold_json: str,
+                 min_ratio: float, errors: list[str]) -> str | None:
     rows = data.get("rows", [])
     if not rows:
         fail(errors, f"{path}: no rows recorded")
-        return
+        return None
 
     for row in rows:
         label = (f"{row.get('model')} eps={row.get('eps')} "
                  f"m={row.get('machines')} "
                  f"speeds={row.get('speed_profile')} "
                  f"workload={row.get('workload')}")
-        if not row.get("clean", False):
-            fail(errors, f"{path}: {label}: a decision violated the model's "
-                         "commitment contract (or a job went undecided)")
+        require_clean(errors, row, f"{path}: {label}:",
+                      "a decision violated the model's commitment contract "
+                      "(or a job went undecided)")
         if not row.get("valid", False):
             fail(errors, f"{path}: {label}: committed schedule failed the "
                          "offline validator")
@@ -438,35 +411,42 @@ def check_matrix(path: Path, threshold_json: str, min_ratio: float,
     models = len({row.get("commit_model") for row in rows})
     profiles = len({row.get("speed_profile") for row in rows})
     workloads = len({row.get("workload") for row in rows})
-    print(f"ok: {path}: {len(rows)} rows over {models} commit models x "
-          f"{profiles} speed profiles x {workloads} workloads, all clean "
-          "and valid")
+    return (f"{len(rows)} rows over {models} commit models x {profiles} "
+            f"speed profiles x {workloads} workloads, all clean and valid")
 
 
-def check_repl(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "replication":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
-    runs = {run.get("mode"): run for run in data.get("runs", [])}
-    for mode in ("baseline", "async", "ack-on-batch", "ack-on-commit"):
+def check_modes(path: Path, runs: dict, modes: tuple[str, ...],
+                errors: list[str], each=None) -> None:
+    """Every listed mode is present, clean and moving; `each(mode, run)`
+    adds a bench's own per-mode checks."""
+    for mode in modes:
         run = runs.get(mode)
         if run is None:
             fail(errors, f"{path}: missing mode {mode!r}")
             continue
-        if not run.get("clean", False):
-            fail(errors, f"{path}: mode={mode} did not finish clean")
+        require_clean(errors, run, f"{path}: mode={mode}")
         if run.get("jobs_per_sec", 0.0) <= 0.0:
             fail(errors, f"{path}: mode={mode} reports non-positive "
                          "throughput")
-        if mode != "baseline":
-            leader = run.get("leader_records", 0)
-            follower = run.get("follower_records", -1)
-            if leader != follower:
-                fail(errors, f"{path}: mode={mode} follower holds "
-                             f"{follower} of {leader} leader records — an "
-                             "orderly close must drain in every mode")
+        if each is not None:
+            each(mode, run)
+
+
+def check_repl(path: Path, data: dict, errors: list[str]) -> str | None:
+    def drained(mode: str, run: dict) -> None:
+        if mode == "baseline":
+            return
+        leader = run.get("leader_records", 0)
+        follower = run.get("follower_records", -1)
+        if leader != follower:
+            fail(errors, f"{path}: mode={mode} follower holds "
+                         f"{follower} of {leader} leader records — an "
+                         "orderly close must drain in every mode")
+
+    runs = {run.get("mode"): run for run in data.get("runs", [])}
+    check_modes(path, runs,
+                ("baseline", "async", "ack-on-batch", "ack-on-commit"),
+                errors, drained)
 
     # Durability is never free: the per-commit round-trip mode being
     # faster than fire-and-forget means the ack wait is inert. (1.5x
@@ -496,28 +476,14 @@ def check_repl(path: Path, errors: list[str]) -> None:
     if 0.0 < s50 < d50:
         fail(errors, f"{path}: serve p50 ({s50}ms) beat detect p50 "
                      f"({d50}ms) — serving cannot precede detection")
-    print(f"ok: {path}: 4 replication modes clean, failover over "
-          f"{iterations} drills detect p50={d50:.1f}ms serve "
-          f"p50={s50:.1f}ms")
+    return (f"4 replication modes clean, failover over {iterations} drills "
+            f"detect p50={d50:.1f}ms serve p50={s50:.1f}ms")
 
 
-def check_obs(path: Path, max_overhead: float, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "obs_overhead":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
+def check_obs(path: Path, data: dict, max_overhead: float,
+              errors: list[str]) -> str | None:
     runs = {run.get("mode"): run for run in data.get("runs", [])}
-    for mode in ("off", "tracing", "tracing+publisher"):
-        run = runs.get(mode)
-        if run is None:
-            fail(errors, f"{path}: missing mode {mode!r}")
-            continue
-        if not run.get("clean", False):
-            fail(errors, f"{path}: mode={mode} did not finish clean")
-        if run.get("jobs_per_sec", 0.0) <= 0.0:
-            fail(errors, f"{path}: mode={mode} reports non-positive "
-                         "throughput")
+    check_modes(path, runs, ("off", "tracing", "tracing+publisher"), errors)
     for key, label in (("tracing_overhead", "decision tracing"),
                        ("publisher_overhead", "tracing + publisher")):
         overhead = data.get(key)
@@ -536,20 +502,15 @@ def check_obs(path: Path, max_overhead: float, errors: list[str]) -> None:
              "counters")):
         if not data.get(key, False):
             fail(errors, f"{path}: {message}")
-    print(f"ok: {path}: tracing {data.get('tracing_overhead', 0.0):+.1%}, "
-          f"with publisher {data.get('publisher_overhead', 0.0):+.1%} "
-          f"(ceiling {max_overhead:.1%}), textfile consistent")
+    return (f"tracing {data.get('tracing_overhead', 0.0):+.1%}, with "
+            f"publisher {data.get('publisher_overhead', 0.0):+.1%} "
+            f"(ceiling {max_overhead:.1%}), textfile consistent")
 
 
-def check_elastic(path: Path, max_overhead_pct: float,
-                  errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "elastic_pressure":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
-    if not data.get("clean", False):
-        fail(errors, f"{path}: the bench itself reported an unclean pass")
+def check_elastic(path: Path, data: dict, max_overhead_pct: float,
+                  errors: list[str]) -> str | None:
+    require_clean(errors, data, f"{path}:",
+                  "the bench itself reported an unclean pass")
 
     shed = data.get("shed", {})
     fracs = shed.get("shed_frac", [])
@@ -604,10 +565,11 @@ def check_elastic(path: Path, max_overhead_pct: float,
         fail(errors, f"{path}: {overhead.get('resizes')} resize(s) during "
                      "the overhead measurement — the mid-band load must "
                      "hold the pool still for the comparison to be fair")
-    print(f"ok: {path}: shed strictly ordered "
-          f"({', '.join(f'{f:.3f}' for f in fracs)}), {begins} drains "
-          f"completed, steady-state overhead {pct:+.2f}% "
-          f"(ceiling {max_overhead_pct:.1f}%)")
+    if pct is None:
+        return None  # already failed above
+    return (f"shed strictly ordered ({', '.join(f'{f:.3f}' for f in fracs)}"
+            f"), {begins} drains completed, steady-state overhead "
+            f"{pct:+.2f}% (ceiling {max_overhead_pct:.1f}%)")
 
 
 def main() -> int:
@@ -642,48 +604,47 @@ def main() -> int:
     args = parser.parse_args()
 
     errors: list[str] = []
-    generators = {
-        args.threshold_json: "bench/micro_throughput",
-        args.service_json: "bench/service_throughput",
-        args.recovery_json: "bench/recovery_replay",
-        args.obs_json: "bench/obs_overhead",
-        args.net_json: "bench/net_throughput",
-        args.matrix_json: "bench/model_matrix",
-        args.repl_json: "bench/repl_failover",
-        args.elastic_json: "bench/elastic_pressure",
-    }
-    for raw, checker in ((args.threshold_json,
-                          lambda p: check_threshold(p, args.min_speedup,
-                                                    args.large_m, errors)),
-                         (args.service_json,
-                          lambda p: check_service(p, errors)),
-                         (args.recovery_json,
-                          lambda p: check_recovery(p, errors)),
-                         (args.obs_json,
-                          lambda p: check_obs(p, args.max_overhead,
-                                              errors)),
-                         (args.net_json,
-                          lambda p: check_net(p, errors)),
-                         (args.matrix_json,
-                          lambda p: check_matrix(p, args.threshold_json,
-                                                 args.matrix_min_ratio,
-                                                 errors)),
-                         (args.repl_json,
-                          lambda p: check_repl(p, errors)),
-                         (args.elastic_json,
-                          lambda p: check_elastic(
-                              p, args.max_elastic_overhead, errors))):
+    # (path, generator, bench id, check) per artifact.
+    artifacts = (
+        (args.threshold_json, "bench/micro_throughput", "threshold_scaling",
+         lambda p, d: check_threshold(p, d, args.min_speedup, args.large_m,
+                                      errors)),
+        (args.service_json, "bench/service_throughput", "service_throughput",
+         lambda p, d: check_service(p, d, errors)),
+        (args.recovery_json, "bench/recovery_replay", "recovery_replay",
+         lambda p, d: check_recovery(p, d, errors)),
+        (args.obs_json, "bench/obs_overhead", "obs_overhead",
+         lambda p, d: check_obs(p, d, args.max_overhead, errors)),
+        (args.net_json, "bench/net_throughput", "net_throughput",
+         lambda p, d: check_net(p, d, errors)),
+        (args.matrix_json, "bench/model_matrix", "model_matrix",
+         lambda p, d: check_matrix(p, d, args.threshold_json,
+                                   args.matrix_min_ratio, errors)),
+        (args.repl_json, "bench/repl_failover", "replication",
+         lambda p, d: check_repl(p, d, errors)),
+        (args.elastic_json, "bench/elastic_pressure", "elastic_pressure",
+         lambda p, d: check_elastic(p, d, args.max_elastic_overhead,
+                                    errors)),
+    )
+    for raw, generator, bench_id, checker in artifacts:
         if not raw:
             continue
         path = Path(raw)
         if not path.is_file():
-            fail(errors, f"{path}: not found — run {generators[raw]} "
+            fail(errors, f"{path}: not found — run {generator} "
                          "to generate it")
             continue
+        failed_before = len(errors)
         try:
-            checker(path)
+            data = load(path, bench_id, errors)
+            summary = None if data is None else checker(path, data)
         except (json.JSONDecodeError, OSError) as exc:
             fail(errors, f"{path}: {exc}")
+            continue
+        # The summary line speaks for the whole file: a file with any FAIL
+        # line gets none.
+        if summary is not None and len(errors) == failed_before:
+            print(f"ok: {path}: {summary}")
 
     if errors:
         print(f"perf_check: {len(errors)} failure(s)")

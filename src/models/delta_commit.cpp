@@ -97,14 +97,14 @@ TimePoint DeltaCommitScheduler::last_startable(const Job& job) const {
 int DeltaCommitScheduler::pick_startable(int machine, TimePoint now) const {
   int best = -1;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Job& j = pending_[i];
+    const Job& j = pending_[i].job;
     const TimePoint j_latest = j.deadline - frontier_.exec_time(machine, j.proc);
     if (definitely_less(j_latest, now)) continue;  // cannot start here
     if (best < 0) {
       best = static_cast<int>(i);
       continue;
     }
-    const Job& b = pending_[static_cast<std::size_t>(best)];
+    const Job& b = pending_[static_cast<std::size_t>(best)].job;
     bool better = false;
     switch (config_.queue) {
       case QueuePolicy::kEdf:
@@ -124,13 +124,18 @@ int DeltaCommitScheduler::pick_startable(int machine, TimePoint now) const {
 }
 
 Decision DeltaCommitScheduler::on_arrival(const Job& job) {
+  return on_tagged_arrival(job, 0);
+}
+
+Decision DeltaCommitScheduler::on_tagged_arrival(const Job& job,
+                                                 std::uint64_t ctx) {
   SLACKSCHED_EXPECTS(job.structurally_valid());
   SLACKSCHED_EXPECTS(approx_ge(job.release, 0.0));
   // The engine drains via advance_to before each arrival, making this
   // run_to a no-op; a direct driver that skips advance_to still gets a
   // consistent simulation, with the resolutions stashed for later.
   run_to(job.release, stash_);
-  pending_.push_back(job);
+  pending_.push_back({job, ctx});
   dirty_ = true;
   return Decision::defer();
 }
@@ -174,8 +179,8 @@ TimePoint DeltaCommitScheduler::next_event_time() const {
     if (definitely_greater(f, vt_)) next = std::min(next, f);
   }
   if (!config_.commit_on_admission) {
-    for (const Job& j : pending_) {
-      const TimePoint tau = commit_deadline(j);
+    for (const Pending& p : pending_) {
+      const TimePoint tau = commit_deadline(p.job);
       if (definitely_greater(tau, vt_)) next = std::min(next, tau);
     }
   }
@@ -186,9 +191,9 @@ void DeltaCommitScheduler::step(TimePoint now,
                                 std::vector<DeferredResolution>& resolved) {
   // 1. Expire: a pending job that not even the fastest machine could still
   //    complete is rejected — the lazy drop of the event simulator.
-  std::erase_if(pending_, [&](const Job& j) {
-    if (definitely_less(last_startable(j), now)) {
-      resolved.push_back({j, Decision::reject(), now});
+  std::erase_if(pending_, [&](const Pending& p) {
+    if (definitely_less(last_startable(p.job), now)) {
+      resolved.push_back({p.job, Decision::reject(), now, p.ctx});
       return true;
     }
     return false;
@@ -201,19 +206,20 @@ void DeltaCommitScheduler::step(TimePoint now,
   //    the commit-on-arrival boundary of the model.
   if (!config_.commit_on_admission) {
     for (std::size_t i = 0; i < pending_.size();) {
-      if (!approx_le(commit_deadline(pending_[i]), now)) {
+      if (!approx_le(commit_deadline(pending_[i].job), now)) {
         ++i;
         continue;
       }
-      const Job job = pending_[i];
+      const Pending due = pending_[i];
+      const Job& job = due.job;
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       const int m = frontier_.best_fit(now, job.proc, job.deadline);
       if (m < 0) {
-        resolved.push_back({job, Decision::reject(), now});
+        resolved.push_back({job, Decision::reject(), now, due.ctx});
       } else {
         const TimePoint start = now + frontier_.load(m, now);
         frontier_.update(m, start + frontier_.exec_time(m, job.proc));
-        resolved.push_back({job, Decision::accept(m, start), now});
+        resolved.push_back({job, Decision::accept(m, start), now, due.ctx});
       }
     }
   }
@@ -224,11 +230,12 @@ void DeltaCommitScheduler::step(TimePoint now,
     while (approx_le(frontier_.frontier(machine), now)) {
       const int idx = pick_startable(machine, now);
       if (idx < 0) break;
-      const Job job = pending_[static_cast<std::size_t>(idx)];
+      const Pending started = pending_[static_cast<std::size_t>(idx)];
       pending_.erase(pending_.begin() + idx);
       frontier_.update(machine,
-                       now + frontier_.exec_time(machine, job.proc));
-      resolved.push_back({job, Decision::accept(machine, now), now});
+                       now + frontier_.exec_time(machine, started.job.proc));
+      resolved.push_back(
+          {started.job, Decision::accept(machine, now), now, started.ctx});
     }
     if (pending_.empty()) break;
   }

@@ -31,12 +31,14 @@
 /// fastest machine could complete it on time.
 ///
 /// Deferral is delivered through the OnlineScheduler extensions:
-/// on_arrival answers Decision::defer() and the binding decisions come out
-/// of advance_to in decision order, stamped with their decision times, for
-/// the engine to validate under the (kDelta, δ) — or kOnAdmission —
-/// contract.
+/// on_arrival (or on_tagged_arrival, whose ctx the pending job keeps)
+/// answers Decision::defer() and the binding decisions come out of
+/// advance_to in decision order, stamped with their decision times and
+/// ctx, for the engine to validate under the (kDelta, δ) — or kOnAdmission
+/// — contract.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -81,6 +83,8 @@ class DeltaCommitScheduler final : public OnlineScheduler {
   DeltaCommitScheduler(double delta, int machines);
 
   Decision on_arrival(const Job& job) override;
+  /// Queues the job with `ctx`; its DeferredResolution echoes the ctx.
+  Decision on_tagged_arrival(const Job& job, std::uint64_t ctx) override;
   [[nodiscard]] int machines() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override;
@@ -126,8 +130,13 @@ class DeltaCommitScheduler final : public OnlineScheduler {
   CommitmentContract contract_;
   double max_speed_ = 1.0;
   FrontierSet frontier_;
+  /// A tentative job and the caller's ctx its resolution echoes.
+  struct Pending {
+    Job job;
+    std::uint64_t ctx = 0;
+  };
   /// Tentative jobs in arrival order.
-  std::vector<Job> pending_;
+  std::vector<Pending> pending_;
   /// Decisions resolved during on_arrival's internal catch-up (a driver
   /// that skips advance_to, e.g. the adversary); handed out first by the
   /// next advance_to call.

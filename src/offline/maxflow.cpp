@@ -77,4 +77,49 @@ double MaxFlow::flow_on(std::size_t edge_handle) const {
   return original_capacity_[edge_handle] - graph_[node][index].capacity;
 }
 
+void sort_event_points(std::vector<TimePoint>& events) {
+  std::sort(events.begin(), events.end());
+  events.erase(
+      std::unique(events.begin(), events.end(),
+                  [](TimePoint a, TimePoint b) { return approx_eq(a, b); }),
+      events.end());
+}
+
+double interval_max_flow(std::span<const FlowJob> jobs,
+                         std::span<const TimePoint> events, int machines,
+                         std::vector<IntervalEdgeFlow>* edge_flows) {
+  SLACKSCHED_EXPECTS(!events.empty());
+  const std::size_t n = jobs.size();
+  const std::size_t intervals = events.size() - 1;
+  // Nodes: source, n jobs, `intervals` interval nodes, sink.
+  const std::size_t source = 0;
+  const std::size_t sink = 1 + n + intervals;
+  MaxFlow flow(sink + 1);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    flow.add_edge(source, 1 + i, jobs[i].demand);
+  }
+  std::vector<std::size_t> handles;  // parallel to *edge_flows
+  if (edge_flows != nullptr) edge_flows->clear();
+  for (std::size_t v = 0; v < intervals; ++v) {
+    const Duration length = events[v + 1] - events[v];
+    flow.add_edge(1 + n + v, sink, machines * length);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (approx_ge(events[v], jobs[i].release) &&
+          approx_le(events[v + 1], jobs[i].deadline)) {
+        const std::size_t handle = flow.add_edge(1 + i, 1 + n + v, length);
+        if (edge_flows != nullptr) {
+          edge_flows->push_back({i, v, 0.0});
+          handles.push_back(handle);
+        }
+      }
+    }
+  }
+  const double routed = flow.max_flow(source, sink);
+  for (std::size_t k = 0; k < handles.size(); ++k) {
+    (*edge_flows)[k].flow = flow.flow_on(handles[k]);
+  }
+  return routed;
+}
+
 }  // namespace slacksched

@@ -5,7 +5,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
+
+#include "common/time.hpp"
 
 namespace slacksched {
 
@@ -27,8 +30,6 @@ class MaxFlow {
   /// Flow routed over the edge returned by add_edge (after max_flow).
   [[nodiscard]] double flow_on(std::size_t edge_handle) const;
 
-  [[nodiscard]] std::size_t node_count() const { return graph_.size(); }
-
  private:
   struct Edge {
     std::size_t to;
@@ -45,5 +46,37 @@ class MaxFlow {
   std::vector<std::pair<std::size_t, std::size_t>> handles_;  // (node, index)
   std::vector<double> original_capacity_;
 };
+
+/// Sorts event points and merges the ones approx_eq to their predecessor:
+/// the time grid of the job -> interval network.
+void sort_event_points(std::vector<TimePoint>& events);
+
+/// One job of the job -> interval network: up to `demand` units, runnable
+/// in the intervals that lie inside [release, deadline].
+struct FlowJob {
+  double demand = 0.0;
+  TimePoint release = 0.0;
+  TimePoint deadline = 0.0;
+};
+
+/// The flow a solved network routed over one job -> interval edge.
+struct IntervalEdgeFlow {
+  std::size_t job = 0;
+  std::size_t interval = 0;  ///< [events[interval], events[interval + 1])
+  double flow = 0.0;
+};
+
+/// Max flow of the preemptive-migration network over the grid `events`
+/// (>= 1 point): source -> job j with capacity demand_j; job j ->
+/// interval v, for every interval inside j's window, with capacity |v|
+/// (a job runs on one machine at a time); interval v -> sink with
+/// capacity machines * |v|. Edges go in per interval, the sink edge
+/// first, then the job edges in job order; Dinic's answer depends on that
+/// order, so it is fixed here. When `edge_flows` is non-null it receives
+/// the job -> interval edges in that order, with their flows: the witness
+/// a fluid schedule executes.
+[[nodiscard]] double interval_max_flow(
+    std::span<const FlowJob> jobs, std::span<const TimePoint> events,
+    int machines, std::vector<IntervalEdgeFlow>* edge_flows = nullptr);
 
 }  // namespace slacksched

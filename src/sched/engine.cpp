@@ -71,10 +71,7 @@ void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
             validate_commitment(result_.schedule, resolution.job,
                                 resolution.decision, resolution.decided_at,
                                 contract_));
-  if (legal && resolution_hook_) {
-    resolution_hook_(resolution.job, resolution.decision,
-                     resolution.decided_at);
-  }
+  if (legal && resolution_hook_) resolution_hook_(resolution);
 }
 
 bool StreamingRunner::apply(const Job& job, const Decision& decision,
@@ -101,17 +98,19 @@ bool StreamingRunner::apply(const Job& job, const Decision& decision,
   return true;
 }
 
-FeedOutcome StreamingRunner::feed(const Job& job) {
+FeedOutcome StreamingRunner::feed(const Job& job, std::uint64_t ctx) {
   FeedOutcome outcome;
   if (halted_) return outcome;  // poisoned run: drop without deciding
-  if (contract_.model != CommitModel::kOnArrival) {
+  const bool deferrable = contract_.model != CommitModel::kOnArrival;
+  if (deferrable) {
     // Decisions that became binding before this arrival land first, in
     // decision order, exactly as simulated time would have delivered them.
     drain_resolutions(job.release);
     if (halted_) return outcome;
   }
   outcome.decided = true;
-  outcome.decision = scheduler_->on_arrival(job);
+  outcome.decision = deferrable ? scheduler_->on_tagged_arrival(job, ctx)
+                                : scheduler_->on_arrival(job);
   sync_machines();
   ++result_.metrics.submitted;
   if (outcome.decision.deferred) {

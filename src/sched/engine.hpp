@@ -26,6 +26,7 @@
 /// arrival schedulers never defer and take the original path untouched.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -99,9 +100,9 @@ class StreamingRunner {
   /// Invoked for every legal resolution of a previously deferred job,
   /// after it was applied (committed or counted as a rejection). Lets a
   /// consumer that reports per-job outcomes (e.g. a gateway shard) observe
-  /// decisions that arrive outside any feed() call.
-  using ResolutionHook =
-      std::function<void(const Job&, const Decision&, TimePoint decided_at)>;
+  /// decisions that arrive outside any feed() call; the resolution carries
+  /// the ctx its job was fed with.
+  using ResolutionHook = std::function<void(const DeferredResolution&)>;
 
   /// Resets the scheduler and starts an empty run.
   explicit StreamingRunner(OnlineScheduler& scheduler,
@@ -130,8 +131,11 @@ class StreamingRunner {
   void reserve_decisions(std::size_t n);
 
   /// Decides one job (now == job.release; callers feed non-decreasing
-  /// release dates). No-op returning decided == false once halted.
-  FeedOutcome feed(const Job& job);
+  /// release dates). No-op returning decided == false once halted. `ctx`
+  /// is the caller's per-job token: a job whose decision defers carries it
+  /// to its resolution (see ResolutionHook); an immediate decision is
+  /// answered here, so commit-on-arrival schedulers never see it.
+  FeedOutcome feed(const Job& job, std::uint64_t ctx = 0);
 
   /// True once an illegal commitment occurred under halt_on_violation.
   [[nodiscard]] bool halted() const { return halted_; }

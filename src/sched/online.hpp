@@ -9,6 +9,7 @@
 /// advance_to.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,11 +22,13 @@
 namespace slacksched {
 
 /// A decision rendered after its job's arrival by a deferred-commitment
-/// scheduler, stamped with the simulated time it became binding.
+/// scheduler, stamped with the simulated time it became binding, with the
+/// ctx its job arrived with through on_tagged_arrival (0: on_arrival).
 struct DeferredResolution {
   Job job;
   Decision decision;
   TimePoint decided_at = 0.0;
+  std::uint64_t ctx = 0;
 };
 
 /// Interface of a deterministic (or internally randomized) online admission
@@ -43,6 +46,14 @@ class OnlineScheduler {
   /// time >= job.release that respects previously committed work; the
   /// engine and validator verify this.
   virtual Decision on_arrival(const Job& job) = 0;
+
+  /// on_arrival for a caller that routes deferred answers back: a
+  /// deferring scheduler keeps `ctx` with the pending job and returns it in
+  /// that job's DeferredResolution. The default never defers: it drops it.
+  virtual Decision on_tagged_arrival(const Job& job, std::uint64_t ctx) {
+    (void)ctx;
+    return on_arrival(job);
+  }
 
   /// Number of physical machines the algorithm schedules on.
   [[nodiscard]] virtual int machines() const = 0;

@@ -149,7 +149,6 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
   ShardConfig shard_config;
   shard_config.queue_capacity = config.queue_capacity;
   shard_config.batch_size = config.batch_size;
-  shard_config.halt_on_violation = config.halt_shard_on_violation;
   shard_config.record_decisions = config.record_decisions;
   shard_config.pop_timeout = config.pop_timeout;
   shard_config.wal_fsync = config.wal_fsync;

@@ -77,7 +77,6 @@ struct GatewayConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;       ///< max jobs per consumer wake-up
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
-  bool halt_shard_on_violation = true;
   bool record_decisions = true;
   /// Pin shard s's consumer thread to CPU s mod hardware_concurrency for
   /// cache locality (shared-nothing shard loops stay on their core). Only

@@ -17,13 +17,6 @@ namespace slacksched {
 
 namespace {
 
-RunOptions to_run_options(const ShardConfig& config) {
-  RunOptions options;
-  options.record_decisions = config.record_decisions;
-  options.halt_on_violation = config.halt_on_violation;
-  return options;
-}
-
 /// Best-effort consumer-thread pinning; a failed affinity call is a lost
 /// locality hint, never an error (the shard runs fine unpinned).
 void pin_current_thread(int cpu) {
@@ -74,7 +67,10 @@ void Shard::spawn(bool is_restart) {
   runner_.reset();
   scheduler_ = factory_();
   SLACKSCHED_EXPECTS(scheduler_ != nullptr);
-  const RunOptions options = to_run_options(config_);
+  // A shard always halts on its first illegal commitment (the RunOptions
+  // default, as in run_online); its queue keeps draining so producers are
+  // never blocked by a poisoned shard.
+  const RunOptions options{.record_decisions = config_.record_decisions};
   // The WAL header stores the machine count the pool *starts* with;
   // elastic replay grows the live scheduler past it, so capture the
   // initial count before recovery touches anything.
@@ -119,15 +115,12 @@ void Shard::spawn(bool is_restart) {
   // Deferred-commitment schedulers resolve jobs outside any feed() call;
   // the resolution hook performs the same bookkeeping process() does for
   // immediate decisions (metrics, trace, notification), with a zero queue
-  // latency — the job left the queue when it was fed.
-  runner_->set_resolution_hook(
-      [this](const Job& job, const Decision& decision, TimePoint) {
-        on_resolution(job, decision);
-      });
-
-  // Parked contexts belong to the previous worker's deferred jobs; a
-  // restart re-feeds nothing, so they can never resolve.
-  deferred_ctx_.clear();
+  // latency — the job left the queue when it was fed. The resolution
+  // carries the route_ctx its job was fed with.
+  runner_->set_resolution_hook([this](const DeferredResolution& resolved) {
+    publish_decision(resolved.job, resolved.decision,
+                     static_cast<std::int16_t>(index_), 0.0, resolved.ctx);
+  });
 
   // Elastic control loop: a fresh controller every spawn (its window is
   // transient load state — the durable truth, the machine counts, was just
@@ -361,49 +354,18 @@ void Shard::run_capacity_control() {
   }
 }
 
-void Shard::on_resolution(const Job& job, const Decision& decision) {
-  // Reclaim the routing context parked when this job's decision deferred.
-  // The context is the producer's per-job token — for the network front
-  // end, the reply slot the submitting connection is waiting on. Jobs that
-  // share an id can resolve in any order (a δ-scheduler commits by
-  // deadline, not by arrival), so the parked entry must be this very job:
-  // the oldest one equal to it, never merely the oldest with its id.
-  std::uint64_t route_ctx = 0;
-  auto parked = deferred_ctx_.find(job.id);
-  if (parked != deferred_ctx_.end()) {
-    std::deque<ParkedCtx>& same_id = parked->second;
-    const auto own =
-        std::find_if(same_id.begin(), same_id.end(),
-                     [&job](const ParkedCtx& p) { return p.job == job; });
-    if (own != same_id.end()) {
-      route_ctx = own->route_ctx;
-      same_id.erase(own);
-      if (same_id.empty()) deferred_ctx_.erase(parked);
-    }
-  }
-  // The job left the queue when it was fed: zero queue latency.
-  publish_decision(job, decision, static_cast<std::int16_t>(index_), 0.0,
-                   route_ctx);
-}
-
 void Shard::process(const Task& task) {
   // The simulated clock the elastic control loop reads: releases arrive in
   // FIFO order per producer but can interleave across producers, so track
   // the max rather than the last.
   sim_now_ = std::max(sim_now_, task.job.release);
-  const FeedOutcome outcome = runner_->feed(task.job);
+  // A deferring scheduler keeps route_ctx with the pending job, so the
+  // eventual resolution still finds its way home.
+  const FeedOutcome outcome = runner_->feed(task.job, task.route_ctx);
   // Poisoned shard (drained without deciding) or an illegal commitment:
-  // neither counts as a served decision in the live metrics.
-  if (!outcome.decided || !outcome.legal) return;
-  // A deferred decision is not a decision yet — its bookkeeping happens in
-  // on_resolution when the binding answer lands. Park the routing context
-  // so the eventual resolution can still find its way home.
-  if (outcome.decision.deferred) {
-    if (config_.on_decision) {
-      deferred_ctx_[task.job.id].push_back({task.job, task.route_ctx});
-    }
-    return;
-  }
+  // neither counts as a served decision in the live metrics. A deferred
+  // decision is not a decision yet: the resolution hook publishes it.
+  if (!outcome.decided || !outcome.legal || outcome.decision.deferred) return;
   const double latency =
       std::chrono::duration<double>(Clock::now() - task.enqueued_at).count();
   publish_decision(task.job, outcome.decision, task.home, latency,

@@ -21,7 +21,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,7 +28,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -61,10 +59,6 @@ using ShardDecisionCallback = std::function<void(
 struct ShardConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;
-  /// Stop rendering decisions after the first illegal commitment (matches
-  /// run_online's default); the queue keeps draining so producers are
-  /// never blocked by a poisoned shard.
-  bool halt_on_violation = true;
   /// Record per-job DecisionRecords (disable for multi-million-job benches
   /// where only metrics and the committed schedule matter).
   bool record_decisions = true;
@@ -218,28 +212,12 @@ class Shard {
   /// observation, apply its grow/shrink decision, WAL the resize.
   void run_capacity_control();
   void process(const Task& task);
-  /// A deferred job's binding decision: finds its parked context and
-  /// publishes it like process() publishes an immediate one.
-  void on_resolution(const Job& job, const Decision& decision);
   /// The one tail of every rendered decision, immediate or resolved:
   /// metrics, trace event, then the on_decision notification.
   void publish_decision(const Job& job, const Decision& decision,
                         std::int16_t home, double latency_seconds,
                         std::uint64_t route_ctx);
   void set_error(std::string message);
-
-  /// δ-commitment schedulers defer a job's binding decision past its
-  /// feed() call, but the Task (and its route_ctx) dies with the batch
-  /// iteration. Parked contexts bridge the gap: process() records the
-  /// ctx when a hooked job defers, on_resolution() takes it back. Touched
-  /// only by the consumer thread, so no lock; cleared on (re)spawn — a
-  /// crashed worker's parked contexts die with it, like its undecided
-  /// queue tail.
-  struct ParkedCtx {
-    Job job;
-    std::uint64_t route_ctx = 0;
-  };
-  std::unordered_map<JobId, std::deque<ParkedCtx>> deferred_ctx_;
 
   int index_;
   ShardConfig config_;

@@ -109,7 +109,9 @@ RunResult Simulator::run(const Instance& instance) {
                                           decision.machine, job.proc);
     queue.push({completed, sequence++});
   };
-  runner.set_resolution_hook(decided);
+  runner.set_resolution_hook([&](const DeferredResolution& resolved) {
+    decided(resolved.job, resolved.decision, resolved.decided_at);
+  });
 
   for (const Job& job : instance.jobs()) {
     // Deferred decisions that became binding before this arrival reach

@@ -6,7 +6,9 @@
 // bit-identity) live in test_model_equivalence.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -402,7 +404,9 @@ TEST(GatewaySelector, DeferredResolutionEchoesItsOwnRouteContext) {
   // Two submissions share id 7 in one δ shard. The later one has the
   // earlier deadline, so it resolves first; each resolution must still
   // carry the context submitted with that very job (for the network front
-  // end: the reply slot of the connection that sent it).
+  // end: the reply slot of the connection that sent it). An exact
+  // duplicate of `roomy` with its own context gets that context back too:
+  // the ctx travels with the job, not with anything the job looks like.
   GatewayConfig config;
   config.shards = 1;
   config.model = ModelConfig{};
@@ -422,17 +426,45 @@ TEST(GatewaySelector, DeferredResolutionEchoesItsOwnRouteContext) {
   const Job tight = make_job(7, 0.0, 1.0, 3.0);
   ASSERT_EQ(gateway.submit(roomy, 101), Outcome::kEnqueued);
   ASSERT_EQ(gateway.submit(tight, 202), Outcome::kEnqueued);
+  ASSERT_EQ(gateway.submit(roomy, 404), Outcome::kEnqueued);
   ASSERT_EQ(gateway.submit(make_job(8, 2.5, 1.0, 1000.0), 303),
             Outcome::kEnqueued);
   (void)gateway.finish();
 
-  ASSERT_EQ(echoed.size(), 3u);
+  ASSERT_EQ(echoed.size(), 4u);
   EXPECT_EQ(echoed.front().first, tight);  // resolved out of arrival order
+  std::vector<std::uint64_t> roomy_ctxs;
   for (const auto& [job, ctx] : echoed) {
-    const std::uint64_t submitted_with =
-        job == roomy ? 101u : (job == tight ? 202u : 303u);
-    EXPECT_EQ(ctx, submitted_with) << job.to_string();
+    if (job == roomy) {
+      roomy_ctxs.push_back(ctx);
+      continue;
+    }
+    EXPECT_EQ(ctx, job == tight ? 202u : 303u) << job.to_string();
   }
+  std::sort(roomy_ctxs.begin(), roomy_ctxs.end());
+  EXPECT_EQ(roomy_ctxs, (std::vector<std::uint64_t>{101, 404}));
+}
+
+TEST(StreamingRunnerCtx, DeferredResolutionEchoesTheFedContext) {
+  // The runner hands feed()'s ctx to the δ scheduler, which keeps it with
+  // the pending job; the resolution hook gets it back. feed(job) is ctx 0.
+  DeltaCommitScheduler scheduler(0.5, 1);
+  StreamingRunner runner(scheduler);
+  std::vector<std::pair<JobId, std::uint64_t>> echoed;
+  runner.set_resolution_hook([&](const DeferredResolution& resolved) {
+    echoed.emplace_back(resolved.job.id, resolved.ctx);
+  });
+  EXPECT_TRUE(runner.feed(make_job(1, 0.0, 2.0, 50.0), 11).decision.deferred);
+  EXPECT_TRUE(runner.feed(make_job(2, 0.0, 1.0, 3.0), 22).decision.deferred);
+  EXPECT_TRUE(runner.feed(make_job(3, 1.0, 1.0, 50.0)).decision.deferred);
+  EXPECT_TRUE(runner.feed(make_job(4, 1.5, 1.0, 50.0), 44).decision.deferred);
+  const RunResult result = runner.finish();
+  EXPECT_TRUE(result.clean()) << result.commitment_violation;
+
+  ASSERT_EQ(echoed.size(), 4u);
+  std::sort(echoed.begin(), echoed.end());
+  EXPECT_EQ(echoed, (std::vector<std::pair<JobId, std::uint64_t>>{
+                        {1, 11}, {2, 22}, {3, 0}, {4, 44}}));
 }
 
 }  // namespace
