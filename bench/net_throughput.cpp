@@ -12,13 +12,28 @@
 // and the DRAINED counters equal to what the clients observed. Emits
 // BENCH_net.json so the perf trajectory is machine-readable.
 //
+// Next to the closed-loop sweep, one open-loop "wake" row offers SUBMIT
+// frames at a nominal 20k jobs/s over 2 connections to a 1-loop server
+// and records decide latency (client send to reply read) and the
+// cross-thread wake-ups the server issued per decision — shard futex
+// wakes plus event-loop eventfd writes, read from the
+// slacksched_wakeups_total counters. At this rate every read pass
+// carries one job, so an idle shard decides it run-to-completion on the
+// loop and the row reads about 0 wake-ups per decision; a server that
+// hands each job to a parked shard thread and the decision back to a
+// waiting loop reads about 2.
+//
 // Expectation on a multi-core host: batching amortizes the framing + CRC
 // cost, so jobs/sec rises steeply from batch=1 to batch=512, and with
 // enough connections the multi-loop rows pull ahead of loops=1 — each
 // shared-nothing loop owns its connections' epoll set, pending replies
 // and outbox, so the wire-side work parallelizes (scripts/perf_check.py
 // gates this on >= 4-core recorders).
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +49,7 @@
 #include "core/threshold.hpp"
 #include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
+#include "net/protocol.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -185,8 +201,168 @@ RunStats run_config(const Instance& instance, int loops,
   return run;
 }
 
-void write_json(const std::vector<RunStats>& runs, std::size_t jobs,
-                const bench::BenchEnv& env) {
+/// The open-loop wake row: nominal rate, 1 loop, 2 connections.
+struct WakeStats {
+  double rate = 0.0;        ///< offered jobs/s
+  std::size_t jobs = 0;
+  std::size_t answered = 0;  ///< SUBMITs answered (decision or shed)
+  std::size_t decided = 0;   ///< answers a scheduler rendered
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+  std::uint64_t futex_wakeups = 0;
+  std::uint64_t loop_wakeups = 0;
+  std::uint64_t inline_decisions = 0;
+  double wakeups_per_decision = 0.0;
+  bool clean = false;
+  std::string problem;
+};
+
+/// One generator thread paces SUBMIT frames at `rate` over two
+/// non-blocking sockets, alternating between them, and reads replies
+/// between sends, so no job waits behind another's answer.
+WakeStats run_wake_row(const Instance& instance, std::size_t n, double rate) {
+  constexpr int kConns = 2;
+  net::AdmissionServerConfig config;
+  config.loops = 1;
+  config.gateway.shards = kShards;
+  config.gateway.routing = RoutingPolicy::kHash;
+  net::AdmissionServer server(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(kEps, kMachinesPerShard);
+  });
+  struct Conn {
+    int fd = -1;
+    std::vector<char> out;
+    std::size_t out_pos = 0;
+    net::FrameDecoder decoder;
+  };
+  Conn conns[kConns];
+  for (Conn& c : conns) {
+    c.fd = net::connect_with_timeout("127.0.0.1", server.port(),
+                                     std::chrono::milliseconds(5000));
+    (void)::fcntl(c.fd, F_SETFL, ::fcntl(c.fd, F_GETFL) | O_NONBLOCK);
+  }
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> sent(n);
+  std::vector<double> latency_us;
+  latency_us.reserve(n);
+  std::vector<std::uint8_t> answers(n, 0);
+  WakeStats row;
+  row.rate = rate;
+  row.jobs = n;
+  std::size_t accepted = 0;
+  bool drained_seen = false;
+  net::DrainedMsg drained{};
+
+  auto pump = [&](Conn& c) {
+    while (c.out_pos < c.out.size()) {
+      const ssize_t put = ::write(c.fd, c.out.data() + c.out_pos,
+                                  c.out.size() - c.out_pos);
+      if (put <= 0) break;  // EAGAIN: the next turn retries
+      c.out_pos += static_cast<std::size_t>(put);
+    }
+    if (c.out_pos == c.out.size()) {
+      c.out.clear();
+      c.out_pos = 0;
+    }
+    char chunk[65536];
+    const ssize_t got = ::read(c.fd, chunk, sizeof chunk);
+    if (got <= 0) return;
+    const Clock::time_point now = Clock::now();
+    c.decoder.feed(chunk, static_cast<std::size_t>(got));
+    net::Frame frame;
+    while (c.decoder.next(frame) == net::FrameDecoder::Status::kFrame) {
+      std::uint64_t request_id = 0;
+      bool decided = false;
+      if (frame.type == net::FrameType::kDecision) {
+        net::DecisionMsg msg;
+        if (!net::parse_decision(frame, msg, nullptr)) continue;
+        request_id = msg.request_id;
+        decided = true;
+        accepted += msg.outcome == Outcome::kAccepted ? 1 : 0;
+      } else if (frame.type == net::FrameType::kReject) {
+        net::RejectMsg msg;
+        if (!net::parse_reject(frame, msg, nullptr)) continue;
+        request_id = msg.request_id;
+      } else if (frame.type == net::FrameType::kDrained) {
+        drained_seen = net::parse_drained(frame, drained, nullptr);
+        continue;
+      } else {
+        continue;
+      }
+      if (request_id < 1 || request_id > n) continue;
+      const std::size_t i = request_id - 1;
+      if (answers[i]++ != 0) continue;  // a duplicate answer: unclean
+      ++row.answered;
+      row.decided += decided ? 1 : 0;
+      latency_us.push_back(
+          std::chrono::duration<double, std::micro>(now - sent[i]).count());
+    }
+  };
+
+  const Clock::time_point t0 = Clock::now() + std::chrono::milliseconds(2);
+  const Clock::time_point give_up = t0 + std::chrono::seconds(30) +
+                                    std::chrono::duration_cast<Clock::duration>(
+                                        std::chrono::duration<double>(
+                                            static_cast<double>(n) / rate));
+  std::size_t k = 0;
+  while ((k < n || row.answered < n) && Clock::now() < give_up) {
+    const Clock::time_point now = Clock::now();
+    while (k < n && t0 + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(
+                                 static_cast<double>(k) / rate)) <= now) {
+      sent[k] = now;
+      net::encode_submit(conns[k % kConns].out,
+                         net::SubmitMsg{k + 1, instance.jobs()[k]});
+      ++k;
+    }
+    for (Conn& c : conns) pump(c);
+  }
+  // The counters before DRAIN: shutting the shards down wakes each one.
+  const MetricsSnapshot snap = server.gateway().metrics_snapshot();
+  row.futex_wakeups = snap.total.futex_wakeups;
+  row.inline_decisions = snap.total.inline_decisions;
+  row.loop_wakeups = server.loop_wakeups();
+  net::encode_drain(conns[0].out);
+  while (!drained_seen && Clock::now() < give_up) pump(conns[0]);
+  for (Conn& c : conns) ::close(c.fd);
+  const GatewayResult result = server.shutdown();
+
+  std::sort(latency_us.begin(), latency_us.end());
+  auto percentile = [&](double q) {
+    if (latency_us.empty()) return 0.0;
+    const auto at = static_cast<std::size_t>(
+        q * static_cast<double>(latency_us.size() - 1));
+    return latency_us[at];
+  };
+  row.p50_us = percentile(0.50);
+  row.p99_us = percentile(0.99);
+  row.wakeups_per_decision =
+      row.decided == 0 ? 0.0
+                       : static_cast<double>(row.futex_wakeups +
+                                             row.loop_wakeups) /
+                             static_cast<double>(row.decided);
+  const bool duplicates = std::any_of(answers.begin(), answers.end(),
+                                      [](std::uint8_t a) { return a > 1; });
+  row.clean = true;
+  if (row.answered != n || duplicates) {
+    row.clean = false;
+    row.problem = "a SUBMIT was not answered exactly once";
+  } else if (row.decided != n) {
+    row.clean = false;
+    row.problem = "a job was shed at nominal load";
+  } else if (!drained_seen || drained.submitted != n ||
+             drained.accepted != accepted) {
+    row.clean = false;
+    row.problem = "DRAINED counters disagree with client-observed replies";
+  } else if (!result.clean()) {
+    row.clean = false;
+    row.problem = result.first_violation();
+  }
+  return row;
+}
+
+void write_json(const std::vector<RunStats>& runs, const WakeStats& wake,
+                std::size_t jobs, const bench::BenchEnv& env) {
   std::ofstream out("BENCH_net.json");
   out << "{\n"
       << "  \"bench\": \"net_throughput\",\n"
@@ -212,7 +388,21 @@ void write_json(const std::vector<RunStats>& runs, std::size_t jobs,
         << ", \"clean\": " << (r.clean ? "true" : "false") << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n"
+      << "  \"wake\": {\"loops\": 1, \"connections\": 2"
+      << ", \"loop_mode\": \"open\""
+      << ", \"rate\": " << wake.rate
+      << ", \"jobs\": " << wake.jobs
+      << ", \"answered\": " << wake.answered
+      << ", \"decided\": " << wake.decided
+      << ", \"decide_p50_us\": " << wake.p50_us
+      << ", \"decide_p99_us\": " << wake.p99_us
+      << ", \"futex_wakeups\": " << wake.futex_wakeups
+      << ", \"loop_wakeups\": " << wake.loop_wakeups
+      << ", \"inline_decisions\": " << wake.inline_decisions
+      << ", \"wakeups_per_decision\": " << wake.wakeups_per_decision
+      << ", \"clean\": " << (wake.clean ? "true" : "false") << "}\n"
+      << "}\n";
 }
 
 }  // namespace
@@ -266,10 +456,27 @@ int main(int argc, char** argv) {
     }
   }
 
+  constexpr double kWakeRate = 20000.0;
+  const WakeStats wake =
+      run_wake_row(instance, std::min<std::size_t>(n, 20000), kWakeRate);
+  std::printf("\n  wake row (open loop, %.0f jobs/s, 1 loop, 2 conns, %zu "
+              "jobs): decide p50 %.1f us, p99 %.1f us, %.3f wake-ups per "
+              "decision (futex %llu, eventfd %llu), %llu run-to-completion  "
+              "%s\n",
+              wake.rate, wake.jobs, wake.p50_us, wake.p99_us,
+              wake.wakeups_per_decision,
+              static_cast<unsigned long long>(wake.futex_wakeups),
+              static_cast<unsigned long long>(wake.loop_wakeups),
+              static_cast<unsigned long long>(wake.inline_decisions),
+              wake.clean ? "clean" : wake.problem.c_str());
+  all_clean = all_clean && wake.clean;
+
   // Provenance: the sweep's peak ingest parallelism (4 client
   // connections); clients pipeline within a bounded in-flight window and
-  // retry sheds, which is closed-loop load.
-  write_json(runs, n, bench::BenchEnv::detect(4, /*pinned=*/false, "closed"));
+  // retry sheds, which is closed-loop load. The wake row records its own
+  // open-loop mode.
+  write_json(runs, wake, n,
+             bench::BenchEnv::detect(4, /*pinned=*/false, "closed"));
   std::printf("\n  wrote BENCH_net.json\n");
 
   if (!all_clean) {

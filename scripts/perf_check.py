@@ -33,6 +33,9 @@ Validates the five machine-readable bench artifacts:
         configuration (speedup > 1.0) — same warn-skip rule on smaller
         machines as the shard-scaling gate (a 1-core container cannot
         demonstrate scaling)
+      - the open-loop "wake" row (nominal rate, 1 loop, 2 connections) is
+        present and clean, with every submission answered; its decide
+        p50/p99 and wake-ups per decision are reported
   BENCH_matrix.json     (bench/model_matrix [jobs-per-row])
       - every (commit model x eps x m x speed profile x workload) row
         finished clean (every decision legal under that model's
@@ -341,8 +344,22 @@ def check_net(path: Path, data: dict, errors: list[str]) -> str | None:
                                        run.get("jobs_per_sec", 0.0))
     scaling_gate(path, data, rate_by_loops, "loop",
                  "the multi-loop front end", errors)
+
+    wake = data.get("wake")
+    if not isinstance(wake, dict):
+        fail(errors, f"{path}: no open-loop wake row recorded")
+        return None
+    require_clean(errors, wake, f"{path}: wake row")
+    if wake.get("answered") != wake.get("jobs"):
+        fail(errors, f"{path}: wake row answered {wake.get('answered')} of "
+                     f"{wake.get('jobs')} submissions")
     return (f"{len(runs)} loop/connection/batch configurations, all clean, "
-            "every submission answered")
+            "every submission answered; wake row at "
+            f"{wake.get('rate', 0):.0f} jobs/s: decide p50 "
+            f"{wake.get('decide_p50_us', 0):.1f} us, p99 "
+            f"{wake.get('decide_p99_us', 0):.1f} us, "
+            f"{wake.get('wakeups_per_decision', 0):.3f} wake-ups per "
+            "decision")
 
 
 def check_matrix(path: Path, data: dict, threshold_json: str,

@@ -29,6 +29,11 @@ constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventFdTag = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
+/// The event loop running on this thread (null off the loop threads): a
+/// decision rendered run-to-completion inside a loop's own submit needs no
+/// eventfd write, since that loop drains its outbox right after the pass.
+thread_local const void* t_current_loop = nullptr;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
 }
@@ -255,6 +260,11 @@ void AdmissionServer::wake_loop(EventLoop& loop) {
   (void)::write(loop.event_fd, &wake, sizeof(wake));
 }
 
+void AdmissionServer::signal_loop(EventLoop& loop) {
+  loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
+  wake_loop(loop);
+}
+
 void AdmissionServer::on_gateway_decision(const Job& job,
                                           const Decision& decision,
                                           std::uint64_t route_ctx) {
@@ -277,6 +287,10 @@ void AdmissionServer::on_gateway_decision(const Job& job,
   msg.outcome = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
   msg.machine = decision.accepted ? decision.machine : -1;
   msg.start = decision.accepted ? decision.start : 0.0;
+  // Decided run-to-completion inside this loop's own submit: the loop
+  // drains its outbox right after the pass, so no eventfd write.
+  const bool on_loop = t_current_loop == &loop;
+  if (on_loop) loop.self_staged = true;
   bool wake = false;
   {
     // Encode straight into the owning loop's outbox arena: no
@@ -284,14 +298,14 @@ void AdmissionServer::on_gateway_decision(const Job& job,
     // append that found the outbox empty — consecutive decisions coalesce
     // into one wake-up and one writev per connection.
     std::lock_guard lock(loop.outbox_mutex);
-    wake = loop.outbox.empty();
+    wake = !on_loop && loop.outbox.empty();
     const auto offset = static_cast<std::uint32_t>(loop.outbox.bytes.size());
     encode_decision(loop.outbox.bytes, msg);
     loop.outbox.entries.push_back(Outbox::Entry{
         reply.conn_id, slot, offset,
         static_cast<std::uint32_t>(loop.outbox.bytes.size() - offset)});
   }
-  if (wake) wake_loop(loop);
+  if (wake) signal_loop(loop);
 }
 
 std::uint32_t AdmissionServer::ReplySlots::take() {
@@ -334,6 +348,7 @@ void AdmissionServer::close_slot(EventLoop& loop, Connection& conn,
 }
 
 void AdmissionServer::event_loop(EventLoop& loop) {
+  t_current_loop = &loop;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   // With a reaper the wait becomes a tick (so idleness is noticed without
@@ -406,7 +421,10 @@ void AdmissionServer::event_loop(EventLoop& loop) {
         continue;
       }
       if ((events[i].events & EPOLLIN) != 0) read_ready(loop, conn);
-      // read_ready may have closed the connection; re-find before writing.
+      // Send what the pass decided run-to-completion now, in this wake-up.
+      if (loop.self_staged) drain_outbox(loop);
+      // read_ready or the drain may have closed the connection; re-find
+      // before writing.
       auto again = loop.connections.find(tag);
       if (again == loop.connections.end()) continue;
       if ((events[i].events & EPOLLOUT) != 0) {
@@ -458,7 +476,7 @@ void AdmissionServer::accept_ready(EventLoop& loop) {
           std::lock_guard lock(target.handoff_mutex);
           target.handoff.push_back(fd);
         }
-        wake_loop(target);
+        signal_loop(target);
         continue;
       }
     }
@@ -562,11 +580,14 @@ void AdmissionServer::read_ready(EventLoop& loop, Connection& conn) {
       const FrameDecoder::Status status = conn.decoder.next(frame);
       if (status == FrameDecoder::Status::kNeedMore) break;
       if (status == FrameDecoder::Status::kError) {
+        submit_pending(loop, conn);
         send_protocol_error(loop, conn, conn.decoder.error());
         break;
       }
       handle_frame(loop, conn, frame);
     }
+    // The pass's SUBMITs go to the gateway in one call.
+    submit_pending(loop, conn);
   }
 
   if (conn.dead || peer_closed ||
@@ -591,29 +612,43 @@ void AdmissionServer::write_ready(EventLoop& loop, Connection& conn) {
 void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
                                    const Frame& frame) {
   std::string error;
+  // SUBMIT and SUBMIT_BATCH frames collect into the pass's pending
+  // submission; anything else first submits what collected before it, so
+  // the gateway sees every frame in stream order (a DRAIN finds the
+  // earlier SUBMITs already in).
+  if (frame.type != FrameType::kSubmit &&
+      frame.type != FrameType::kSubmitBatch) {
+    submit_pending(loop, conn);
+  }
   switch (frame.type) {
     case FrameType::kSubmit: {
       SubmitMsg msg;
       if (!parse_submit(frame, msg, &error)) {
+        submit_pending(loop, conn);
         send_protocol_error(loop, conn, error);
         return;
       }
       // A SUBMIT is a one-job batch: same slots, same gateway path.
-      handle_submit(loop, conn, msg.request_id,
-                    std::span<const Job>(&msg.job, 1));
+      loop.pending_jobs.push_back(msg.job);
+      loop.pending_request_ids.push_back(msg.request_id);
       return;
     }
     case FrameType::kSubmitBatch: {
       std::uint64_t base = 0;
       // Decoded into the loop's reusable scratch (one memcpy on matching
-      // layouts) and handed to the gateway as a span: no per-frame job
-      // vector, no intermediate copy.
+      // layouts), then appended to the pending submission.
       if (!parse_submit_batch_into(frame, base, loop.batch_scratch,
                                    &error)) {
+        submit_pending(loop, conn);
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit(loop, conn, base, std::span<const Job>(loop.batch_scratch));
+      loop.pending_jobs.insert(loop.pending_jobs.end(),
+                               loop.batch_scratch.begin(),
+                               loop.batch_scratch.end());
+      for (std::size_t i = 0; i < loop.batch_scratch.size(); ++i) {
+        loop.pending_request_ids.push_back(base + i);
+      }
       return;
     }
     case FrameType::kPing: {
@@ -659,9 +694,10 @@ RejectMsg AdmissionServer::make_reject(std::uint64_t request_id,
   return msg;
 }
 
-void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
-                                    std::uint64_t base_request_id,
-                                    std::span<const Job> jobs) {
+void AdmissionServer::submit_pending(EventLoop& loop, Connection& conn) {
+  const std::vector<Job>& jobs = loop.pending_jobs;
+  if (jobs.empty()) return;
+  const std::vector<std::uint64_t>& request_ids = loop.pending_request_ids;
   loop.reply_scratch.clear();
   std::vector<char>& bytes = loop.reply_scratch;
   const bool drained = drained_.load(std::memory_order_acquire);
@@ -669,26 +705,31 @@ void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
     const Outcome status =
         drained ? Outcome::kRejectedClosed : Outcome::kRejectedQueueFull;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      encode_reject(bytes,
-                    make_reject(base_request_id + i, jobs[i].id, status));
+      encode_reject(bytes, make_reject(request_ids[i], jobs[i].id, status));
     }
-    queue_bytes(loop, conn, bytes.data(), bytes.size());
-    return;
+  } else {
+    std::vector<std::uint64_t>& tokens = loop.token_scratch;
+    tokens.clear();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      tokens.push_back(open_slot(loop, conn, request_ids[i], jobs[i].id));
+    }
+    // A pass that carries exactly one job is the low-load signal: an idle
+    // shard decides it on this thread and the DECISION leaves in this
+    // wake-up. Under load passes grow and take the ring, so the shards
+    // keep deciding in parallel and the loop keeps to the wire work.
+    (void)gateway_->submit_batch(jobs, &loop.status_scratch, tokens,
+                                 SubmitHandoff::kRunToCompletion);
+    const std::vector<Outcome>& statuses = loop.status_scratch;
+    // Give back the slots of synchronously shed jobs and answer them now.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (statuses[i] == Outcome::kEnqueued) continue;
+      close_slot(loop, conn, tokens[i]);
+      encode_reject(bytes,
+                    make_reject(request_ids[i], jobs[i].id, statuses[i]));
+    }
   }
-  std::vector<std::uint64_t>& tokens = loop.token_scratch;
-  tokens.clear();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    tokens.push_back(open_slot(loop, conn, base_request_id + i, jobs[i].id));
-  }
-  (void)gateway_->submit_batch(jobs, &loop.status_scratch, tokens);
-  const std::vector<Outcome>& statuses = loop.status_scratch;
-  // Give back the slots of synchronously shed jobs and answer them now.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (statuses[i] == Outcome::kEnqueued) continue;
-    close_slot(loop, conn, tokens[i]);
-    encode_reject(bytes, make_reject(base_request_id + i, jobs[i].id,
-                                     statuses[i]));
-  }
+  loop.pending_jobs.clear();
+  loop.pending_request_ids.clear();
   if (!bytes.empty()) queue_bytes(loop, conn, bytes.data(), bytes.size());
 }
 
@@ -752,7 +793,9 @@ void AdmissionServer::handle_http(EventLoop& loop, Connection& conn) {
   std::string status = "200 OK";
   if (request_line.compare(0, 13, "GET /metrics ") == 0 ||
       request_line.compare(0, 6, "GET / ") == 0) {
-    body = render_prometheus(collect_exporter_input(*gateway_));
+    ExporterInput input = collect_exporter_input(*gateway_);
+    input.loop_eventfd_wakeups = loop_wakeups();
+    body = render_prometheus(input);
     // The reaper and accept counters live in the server, not the gateway,
     // so they are appended after the gateway-derived exposition.
     body +=
@@ -868,6 +911,7 @@ void AdmissionServer::reap_idle(EventLoop& loop,
 }
 
 void AdmissionServer::drain_outbox(EventLoop& loop) {
+  loop.self_staged = false;
   loop.staged.clear();
   {
     // Swap, don't copy: the arena and entry list ping-pong between the

@@ -9,9 +9,13 @@
 /// takes one reply slot on its loop, and the slot's token travels through
 /// the gateway as the job's route_ctx, so each decision goes straight back
 /// to the submission that asked for it — never to another connection that
-/// reused the job id. DECISION frames are coalesced per wake-up and
-/// flushed with writev; the decision hot path takes one lock (the loop's
-/// outbox) and never blocks on a socket.
+/// reused the job id. A connection's read pass goes to the gateway as one
+/// submission; a pass that carries exactly one job is decided
+/// run-to-completion on the loop thread when its shard is idle, so its
+/// DECISION leaves in the same wake-up that read the SUBMIT. DECISION
+/// frames are coalesced per wake-up and flushed with writev; the decision
+/// hot path takes one lock (the loop's outbox) and never blocks on a
+/// socket.
 ///
 /// Contract: every SUBMIT is answered by exactly one DECISION (the shard's
 /// scheduler rendered accept/reject — with the committed machine and start
@@ -138,6 +142,13 @@ class AdmissionServer {
     return accept_errors_.load(std::memory_order_relaxed);
   }
 
+  /// Event-loop eventfd writes that carried decisions from shard threads
+  /// or handed off accepted connections (exported as
+  /// slacksched_wakeups_total{site="loop_eventfd"} on /metrics).
+  [[nodiscard]] std::uint64_t loop_wakeups() const {
+    return loop_wakeups_.load(std::memory_order_relaxed);
+  }
+
   /// The configured loop count.
   [[nodiscard]] int loops() const { return config_.loops; }
 
@@ -166,10 +177,10 @@ class AdmissionServer {
   };
 
   /// Where one enqueued submission's DECISION goes. The loop writes it
-  /// before the submit; the shard thread that renders the decision only
-  /// reads it, ordered after that write by the shard queue's
-  /// release/acquire hand-off; the loop frees it after draining the
-  /// DECISION from the outbox.
+  /// before the submit; the thread that renders the decision only reads
+  /// it — a shard thread, ordered after that write by the shard queue's
+  /// release/acquire hand-off, or the loop itself for a run-to-completion
+  /// job; the loop frees it after draining the DECISION from the outbox.
   struct ReplySlot {
     std::uint64_t conn_id = 0;  ///< 0 while free (connection ids start at 2)
     std::uint64_t request_id = 0;
@@ -213,10 +224,10 @@ class AdmissionServer {
 
   /// Encoded server->client frames staged for one drain: one contiguous
   /// byte arena plus (connection, reply slot, offset, length) entries into
-  /// it. Shard threads encode DECISIONs directly into the arena under the
-  /// outbox lock — no per-decision allocation — and the loop flushes each
-  /// connection's run of entries with a single writev, then frees the
-  /// entries' slots.
+  /// it. Deciding threads encode DECISIONs directly into the arena under
+  /// the outbox lock — no per-decision allocation — and the loop flushes
+  /// each connection's run of entries with a single writev, then frees
+  /// the entries' slots.
   struct Outbox {
     struct Entry {
       std::uint64_t conn_id = 0;
@@ -254,9 +265,13 @@ class AdmissionServer {
     /// epoll until rearm_at.
     bool listener_armed = true;
     std::chrono::steady_clock::time_point rearm_at{};
-    /// SUBMIT_BATCH decode target, reused across frames (the decoded span
-    /// is handed straight to AdmissionGateway::submit_batch), and the
-    /// batch's per-job slot tokens and outcomes.
+    /// The read pass's pending submission: the jobs of its SUBMIT and
+    /// SUBMIT_BATCH frames so far and their request ids, handed to
+    /// AdmissionGateway::submit_batch in one call (submit_pending).
+    std::vector<Job> pending_jobs;
+    std::vector<std::uint64_t> pending_request_ids;
+    /// SUBMIT_BATCH decode target, reused across frames, and the pending
+    /// submission's per-job slot tokens and outcomes.
     std::vector<Job> batch_scratch;
     std::vector<std::uint64_t> token_scratch;
     std::vector<Outcome> status_scratch;
@@ -264,6 +279,10 @@ class AdmissionServer {
     /// built over it; both reused across drains.
     Outbox staged;
     std::vector<char> reply_scratch;
+    /// Set when this loop's own submit staged a run-to-completion
+    /// DECISION in the outbox without an eventfd write; the loop drains
+    /// the outbox right after the pass.
+    bool self_staged = false;
 
     // --- shared with shard consumer threads ---
     /// Written and freed by this loop; shard threads read live slots
@@ -282,7 +301,10 @@ class AdmissionServer {
   /// The gateway's on_decision hook target: reads the reply slot named
   /// by route_ctx (a slot token, see slot_token) and encodes the DECISION
   /// straight into the owning loop's outbox. Contexts below the loop count
-  /// name no slot and are ignored. Runs on shard consumer threads.
+  /// name no slot and are ignored. Runs on the shard's consumer thread, or
+  /// on the submitting event loop for a run-to-completion job; never on
+  /// two at once for one shard, always in decision order. On the owning
+  /// loop's own thread it skips the eventfd write.
   void on_gateway_decision(const Job& job, const Decision& decision,
                            std::uint64_t route_ctx);
 
@@ -293,14 +315,18 @@ class AdmissionServer {
   void disarm_listener(EventLoop& loop);
   void rearm_listener(EventLoop& loop);
   void wake_loop(EventLoop& loop);
+  /// wake_loop for a decision or a handed-off connection, counted in
+  /// loop_wakeups().
+  void signal_loop(EventLoop& loop);
   void read_ready(EventLoop& loop, Connection& conn);
   void write_ready(EventLoop& loop, Connection& conn);
   void handle_frame(EventLoop& loop, Connection& conn, const Frame& frame);
-  /// Answers a SUBMIT (a one-job batch) or a SUBMIT_BATCH: takes a reply
-  /// slot per job, submits them with one gateway call and answers the
-  /// synchronously shed ones at once.
-  void handle_submit(EventLoop& loop, Connection& conn,
-                     std::uint64_t base_request_id, std::span<const Job> jobs);
+  /// Submits the read pass's pending jobs (SUBMITs are one-job batches):
+  /// takes a reply slot per job, submits them with one gateway call
+  /// (run-to-completion when the pass carries exactly one job), answers
+  /// the synchronously shed ones at once and clears the pending
+  /// submission.
+  void submit_pending(EventLoop& loop, Connection& conn);
   /// Takes a reply slot for one submission of `conn` and returns the
   /// token to submit it with; requires loop.slots.can_take(1).
   std::uint64_t open_slot(EventLoop& loop, Connection& conn,
@@ -339,7 +365,7 @@ class AdmissionServer {
   /// idle_timeout and which is owed no DECISION (Connection::owed). Called
   /// from the loop on its reap_interval tick.
   void reap_idle(EventLoop& loop, std::chrono::steady_clock::time_point now);
-  /// Moves decision frames queued by shard threads into write buffers,
+  /// Moves decision frames queued by deciding threads into write buffers,
   /// coalescing each connection's run into one writev, and frees their
   /// reply slots.
   void drain_outbox(EventLoop& loop);
@@ -368,6 +394,7 @@ class AdmissionServer {
   std::atomic<bool> shutdown_done_{false};
   std::atomic<std::uint64_t> connections_reaped_{0};
   std::atomic<std::uint64_t> accept_errors_{0};
+  std::atomic<std::uint64_t> loop_wakeups_{0};
 
   /// Serializes gateway finish() across loop threads racing a DRAIN.
   std::mutex finish_mutex_;

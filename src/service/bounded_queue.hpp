@@ -26,7 +26,7 @@
 ///     close() observed, and the consumer refuses to report
 ///     closed-and-drained until it has consumed *up to that cursor* —
 ///     an item whose try_push returned true is never lost (the
-///     pop_batch_for contract test pins this).
+///     try_pop_batch contract test pins this).
 ///
 /// The idle consumer parks on a futex (Linux) or a mutex+condvar
 /// eventcount (elsewhere); producers only touch the parking path when the
@@ -47,9 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -64,9 +62,9 @@
 
 namespace slacksched {
 
-/// Result of a timed consumer pop: how many items were delivered, and
-/// whether the queue is closed-and-drained (count == 0 then distinguishes
-/// "shut down" from "timed out with nothing available").
+/// Result of a consumer pop (BoundedMpscQueue::try_pop_batch): how many
+/// items were delivered, and whether the queue is closed-and-drained
+/// (count == 0 then distinguishes "shut down" from "nothing available").
 struct PopOutcome {
   std::size_t count = 0;
   bool closed = false;
@@ -90,6 +88,7 @@ class ConsumerParker {
   void notify() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
 #if SLACKSCHED_QUEUE_HAS_FUTEX
     epoch_.fetch_add(1, std::memory_order_release);
     syscall(SYS_futex, epoch_word(), FUTEX_WAKE_PRIVATE, INT32_MAX, nullptr,
@@ -106,14 +105,13 @@ class ConsumerParker {
 #endif
   }
 
-  /// Consumer side: sleep until notify() lands or `deadline` (when
-  /// engaged) passes. `recheck` must return true when there is work;
-  /// it is re-evaluated after waiter registration so a publication that
-  /// raced the registration is never slept through.
+  /// Consumer side: sleep until notify() lands or `deadline` passes.
+  /// `recheck` must return true when there is work; it is re-evaluated
+  /// after waiter registration so a publication that raced the
+  /// registration is never slept through.
   template <typename Recheck>
   void park(Recheck&& recheck,
-            const std::optional<std::chrono::steady_clock::time_point>&
-                deadline) {
+            std::chrono::steady_clock::time_point deadline) {
     const std::uint32_t observed = epoch_.load(std::memory_order_acquire);
     waiters_.store(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -123,40 +121,32 @@ class ConsumerParker {
     }
 #if SLACKSCHED_QUEUE_HAS_FUTEX
     while (epoch_.load(std::memory_order_acquire) == observed) {
+      const auto left = deadline - std::chrono::steady_clock::now();
+      if (left <= std::chrono::steady_clock::duration::zero()) break;
+      const auto secs = std::chrono::duration_cast<std::chrono::seconds>(left);
       struct timespec ts;
-      struct timespec* ts_ptr = nullptr;
-      if (deadline.has_value()) {
-        const auto left = *deadline - std::chrono::steady_clock::now();
-        if (left <= std::chrono::steady_clock::duration::zero()) break;
-        const auto secs =
-            std::chrono::duration_cast<std::chrono::seconds>(left);
-        ts.tv_sec = static_cast<time_t>(secs.count());
-        ts.tv_nsec = static_cast<long>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(left - secs)
-                .count());
-        ts_ptr = &ts;
-      }
+      ts.tv_sec = static_cast<time_t>(secs.count());
+      ts.tv_nsec = static_cast<long>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(left - secs)
+              .count());
       // EAGAIN (epoch already moved), EINTR and ETIMEDOUT all resolve in
       // the loop condition / deadline check above.
-      syscall(SYS_futex, epoch_word(), FUTEX_WAIT_PRIVATE, observed, ts_ptr,
+      syscall(SYS_futex, epoch_word(), FUTEX_WAIT_PRIVATE, observed, &ts,
               nullptr, 0);
-      if (deadline.has_value() &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        break;
-      }
     }
 #else
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto changed = [this, observed] {
+    cv_.wait_until(lock, deadline, [this, observed] {
       return epoch_.load(std::memory_order_acquire) != observed;
-    };
-    if (deadline.has_value()) {
-      cv_.wait_until(lock, *deadline, changed);
-    } else {
-      cv_.wait(lock, changed);
-    }
+    });
 #endif
     waiters_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Wake calls issued so far (FUTEX_WAKE, or the condvar broadcast off
+  /// Linux): notify() calls that found the consumer parked or parking.
+  [[nodiscard]] std::uint64_t wakeups() const {
+    return wakeups_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -171,6 +161,7 @@ class ConsumerParker {
 
   alignas(64) std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> waiters_{0};
+  std::atomic<std::uint64_t> wakeups_{0};
 #if !SLACKSCHED_QUEUE_HAS_FUTEX
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -179,9 +170,10 @@ class ConsumerParker {
 
 }  // namespace detail
 
-/// Fixed-capacity lock-free ring with batch-claim on both sides: blocking
-/// batch-pop for the single consumer, non-blocking single/batch push for
-/// any number of producers. Capacity must be a power of two.
+/// Fixed-capacity lock-free ring with batch-claim on both sides: a timed
+/// wait plus a non-blocking batch-pop for the single consumer,
+/// non-blocking single/batch push for any number of producers. Capacity
+/// must be a power of two.
 template <typename T>
 class BoundedMpscQueue {
  public:
@@ -263,50 +255,65 @@ class BoundedMpscQueue {
     return taken;
   }
 
-  /// Consumer side: blocks until at least one item is available or the
-  /// queue is closed-and-drained, then appends up to `max_items` to `out`
-  /// in FIFO order. Returns the number popped; 0 means closed-and-drained
-  /// (the consumer's signal to exit).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
-    PopOutcome outcome;
-    do {
-      outcome = pop_wait(out, max_items, std::nullopt);
-    } while (outcome.count == 0 && !outcome.closed);
-    return outcome.count;
+  /// Consumer side, split in two so that a consumer can hold a lock while
+  /// it consumes but not while it sleeps. wait_for() blocks at most
+  /// `timeout` until try_pop_batch() would make progress (an item is
+  /// published at the consumer cursor, or the queue is closed-and-drained)
+  /// and consumes nothing; it returns false on timeout. A supervised
+  /// worker wakes at least once per `timeout` to publish a heartbeat even
+  /// when the queue is idle, so a supervisor can tell a stalled consumer
+  /// from an idle one.
+  bool wait_for(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (true) {
+      if (consumer_ready()) return true;  // no waiter registration, no fence
+      bool ready = false;
+      parker_.park([&] { return ready = consumer_ready(); }, deadline);
+      if (ready || consumer_ready()) return true;
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+    }
   }
 
-  /// Timed variant of pop_batch for supervised consumers: waits at most
-  /// `timeout` for an item, so the worker wakes periodically to publish a
-  /// heartbeat even when the queue is idle — a supervisor can then tell a
-  /// stalled consumer from an idle one. `outcome.count == 0 && !closed`
-  /// means the wait timed out; `closed` means closed-and-drained.
+  /// Non-blocking pop: moves up to `max_items` published items to `out`
+  /// (constructed, assignable storage) in FIFO order. `count == 0 &&
+  /// closed` means closed-and-drained; `count == 0 && !closed` means
+  /// nothing is published yet.
   ///
-  /// Contract pinned by tests/test_bounded_queue.cpp: a close() racing the
-  /// wait yields `closed == true` only once the ring is *fully drained* —
-  /// including items whose claim won the race against close() but whose
-  /// publication had not yet landed when close() returned. Until then the
-  /// call keeps delivering the backlog (or waits for the in-flight
-  /// publication), never reporting a premature shutdown.
-  PopOutcome pop_batch_for(std::vector<T>& out, std::size_t max_items,
-                           std::chrono::milliseconds timeout) {
-    return pop_wait(out, max_items,
-                    std::chrono::steady_clock::now() + timeout);
+  /// Contract pinned by tests/test_bounded_queue.cpp: after a close()
+  /// that raced producers, `closed == true` comes only once the ring is
+  /// *fully drained* — including items whose claim won the race against
+  /// close() but whose publication had not yet landed when close()
+  /// returned. Until then the consumer keeps receiving the backlog (or
+  /// wait_for() waits for the in-flight publication), never a premature
+  /// shutdown.
+  PopOutcome try_pop_batch(T* out, std::size_t max_items) {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    const std::uint64_t head_pos = head & ~kClosedBit;
+    const std::size_t n = published_prefix(tail, head_pos, max_items);
+    if (n > 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = std::move(cells_[(tail + i) & mask_].value);
+      }
+      // Release: hands the consumed cells back to producers (their next
+      // claim's tail acquire orders the value writes after our reads).
+      tail_.store(tail + n, std::memory_order_release);
+      return PopOutcome{n, false};
+    }
+    // Closed-and-drained only once every claim below the close-time cursor
+    // has been consumed. head_pos > tail with nothing published means a
+    // producer is mid-publication: never report a premature close.
+    return PopOutcome{0, (head & kClosedBit) != 0 && head_pos == tail};
   }
 
-  /// pop_batch_for into a caller-owned array (e.g. a per-shard arena):
-  /// writes up to `max_items` items starting at `out`, which must point to
-  /// constructed, assignable T storage. Same timing/closed contract.
-  PopOutcome pop_batch_for(T* out, std::size_t max_items,
-                           std::chrono::milliseconds timeout) {
-    return pop_wait_into(out, max_items,
-                         std::chrono::steady_clock::now() + timeout);
-  }
+  /// Wake calls producers have issued to the parked consumer so far.
+  [[nodiscard]] std::uint64_t wakeups() const { return parker_.wakeups(); }
 
   /// Marks the queue closed: subsequent pushes fail, the consumer drains
-  /// the remaining items and then sees pop_batch return 0. The closed bit
-  /// lives in the enqueue cursor, so closing and claiming are totally
-  /// ordered: no claim can slip in "after" close yet before the consumer's
-  /// drained check.
+  /// the remaining items and then sees try_pop_batch report closed. The
+  /// closed bit lives in the enqueue cursor, so closing and claiming are
+  /// totally ordered: no claim can slip in "after" close yet before the
+  /// consumer's drained check.
   void close() {
     head_.fetch_or(kClosedBit, std::memory_order_acq_rel);
     parker_.notify();
@@ -365,75 +372,12 @@ class BoundedMpscQueue {
     return n;
   }
 
-  /// Moves exactly `n` published items out of the ring via `sink(i, T&&)`
-  /// and advances the consumer cursor once.
-  template <typename Sink>
-  void consume(std::uint64_t tail, std::size_t n, Sink&& sink) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sink(i, std::move(cells_[(tail + i) & mask_].value));
-    }
-    // Release: hands the consumed cells back to producers (their next
-    // claim's tail acquire orders the value writes after our reads).
-    tail_.store(tail + n, std::memory_order_release);
-  }
-
-  PopOutcome pop_wait(
-      std::vector<T>& out, std::size_t max_items,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-    const std::size_t base = out.size();
-    out.resize(base + max_items);
-    const PopOutcome outcome =
-        pop_wait_into(out.data() + base, max_items, deadline);
-    out.resize(base + outcome.count);
-    return outcome;
-  }
-
-  PopOutcome pop_wait_into(
-      T* out, std::size_t max_items,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  /// True when try_pop_batch would make progress. Consumer-only.
+  [[nodiscard]] bool consumer_ready() const {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    while (true) {
-      const std::uint64_t head = head_.load(std::memory_order_acquire);
-      const std::uint64_t head_pos = head & ~kClosedBit;
-      const std::size_t n = published_prefix(tail, head_pos, max_items);
-      if (n > 0) {
-        consume(tail, n, [out](std::size_t i, T&& v) {
-          out[i] = std::move(v);
-        });
-        return PopOutcome{n, false};
-      }
-      // Closed-and-drained only once every claim below the close-time
-      // cursor has been consumed. head_pos > tail with nothing published
-      // means a producer is mid-publication: keep waiting (the publish
-      // wakes us), never report a premature close.
-      if ((head & kClosedBit) != 0 && head_pos == tail) {
-        return PopOutcome{0, true};
-      }
-      bool ready = false;
-      parker_.park(
-          [&] {
-            const std::uint64_t h = head_.load(std::memory_order_acquire);
-            ready = published_prefix(tail, h & ~kClosedBit, 1) > 0 ||
-                    ((h & kClosedBit) != 0 && (h & ~kClosedBit) == tail);
-            return ready;
-          },
-          deadline);
-      if (!ready && deadline.has_value() &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        // One last look so a publication that raced the deadline is not
-        // reported as an idle timeout.
-        const std::uint64_t h = head_.load(std::memory_order_acquire);
-        const std::size_t late =
-            published_prefix(tail, h & ~kClosedBit, max_items);
-        if (late > 0) {
-          consume(tail, late, [out](std::size_t i, T&& v) {
-            out[i] = std::move(v);
-          });
-          return PopOutcome{late, false};
-        }
-        return PopOutcome{0, (h & kClosedBit) != 0 && (h & ~kClosedBit) == tail};
-      }
-    }
+    const std::uint64_t h = head_.load(std::memory_order_acquire);
+    return published_prefix(tail, h & ~kClosedBit, 1) > 0 ||
+           ((h & kClosedBit) != 0 && (h & ~kClosedBit) == tail);
   }
 
   std::unique_ptr<Cell[]> cells_;

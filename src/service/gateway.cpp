@@ -34,6 +34,10 @@ struct SubmitScratch {
   std::vector<std::uint32_t> order;        ///< job indices, grouped
   std::vector<std::int16_t> order_home;    ///< parallel to `order`
   std::vector<Outcome> outcomes;  ///< submit_batch's, when it gets none
+  /// Set while a submit_jobs pass runs on this thread: a run-to-completion
+  /// decision's on_decision hook runs inside pass 3, and a submit from it
+  /// would overwrite the vectors above mid-pass.
+  bool in_use = false;
 };
 
 SubmitScratch& submit_scratch() {
@@ -228,23 +232,33 @@ int AdmissionGateway::resolve_target(int home) {
 
 Outcome AdmissionGateway::submit(const Job& job, std::uint64_t route_ctx) {
   Outcome outcome = Outcome::kRejectedClosed;
-  (void)submit_jobs({&job, 1}, &outcome, {&route_ctx, 1});
+  (void)submit_jobs({&job, 1}, &outcome, {&route_ctx, 1},
+                    SubmitHandoff::kRing);
   return outcome;
 }
 
 BatchSubmitResult AdmissionGateway::submit_batch(
     std::span<const Job> jobs, std::vector<Outcome>* statuses,
-    std::span<const std::uint64_t> route_ctxs) {
+    std::span<const std::uint64_t> route_ctxs, SubmitHandoff handoff) {
+  SubmitScratch& scratch = submit_scratch();
+  SLACKSCHED_EXPECTS(!scratch.in_use);  // see SubmitScratch::in_use
   std::vector<Outcome>& out =
-      statuses != nullptr ? *statuses : submit_scratch().outcomes;
+      statuses != nullptr ? *statuses : scratch.outcomes;
   out.resize(jobs.size());
-  return submit_jobs(jobs, out.data(), route_ctxs);
+  return submit_jobs(jobs, out.data(), route_ctxs, handoff);
 }
 
 BatchSubmitResult AdmissionGateway::submit_jobs(
     std::span<const Job> jobs, Outcome* outcomes,
-    std::span<const std::uint64_t> route_ctxs) {
+    std::span<const std::uint64_t> route_ctxs, SubmitHandoff handoff) {
   SLACKSCHED_EXPECTS(route_ctxs.empty() || route_ctxs.size() == jobs.size());
+  SubmitScratch& scratch = submit_scratch();
+  SLACKSCHED_EXPECTS(!scratch.in_use);  // see SubmitScratch::in_use
+  scratch.in_use = true;
+  struct Release {
+    bool& flag;
+    ~Release() { flag = false; }
+  } release{scratch.in_use};
   BatchSubmitResult result;
   if (finished_.load(std::memory_order_acquire)) {
     std::fill_n(outcomes, jobs.size(), Outcome::kRejectedClosed);
@@ -254,7 +268,6 @@ BatchSubmitResult AdmissionGateway::submit_jobs(
   // Pass 1: route every job, resolve each home shard's failover target
   // once (the availability view is sampled once per call), apply the
   // class-shed gate and count each target's group.
-  SubmitScratch& scratch = submit_scratch();
   const auto shard_count = static_cast<std::size_t>(config_.shards);
   scratch.target_of.assign(shard_count, -2);  // -2: not yet resolved
   scratch.group_pos.assign(shard_count, 0);
@@ -328,6 +341,8 @@ BatchSubmitResult AdmissionGateway::submit_jobs(
   // Pass 3: one push per non-empty group. group_pos[s] is now the
   // group's begin; the next shard's begin (or the total) is its end.
   const auto now = Shard::Clock::now();
+  const bool run_to_completion =
+      handoff == SubmitHandoff::kRunToCompletion && jobs.size() == 1;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::uint32_t begin = scratch.group_pos[s];
     const std::uint32_t end =
@@ -336,7 +351,7 @@ BatchSubmitResult AdmissionGateway::submit_jobs(
     const std::size_t count = end - begin;
     const Shard::BatchEnqueueResult pushed = shards_[s]->try_enqueue_batch(
         jobs.data(), scratch.order.data() + begin, count, now,
-        scratch.order_home.data() + begin, route_ctxs);
+        scratch.order_home.data() + begin, route_ctxs, run_to_completion);
     result.enqueued += pushed.taken;
     // A shed tail on a closed queue is not backpressure: the shard shut
     // down mid-batch, and the caller must treat the tail as unserviceable
@@ -357,7 +372,13 @@ MetricsSnapshot AdmissionGateway::metrics_snapshot() const {
   std::vector<std::size_t> depths;
   depths.reserve(shards_.size());
   for (const auto& shard : shards_) depths.push_back(shard->queue_size());
-  return metrics_.snapshot(depths);
+  MetricsSnapshot snap = metrics_.snapshot(depths);
+  // Like the depths, the futex wake counts live in the shard rings.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    snap.shards[s].futex_wakeups = shards_[s]->queue_wakeups();
+    snap.total.futex_wakeups += snap.shards[s].futex_wakeups;
+  }
+  return snap;
 }
 
 std::vector<TraceEvent> AdmissionGateway::drain_trace() {

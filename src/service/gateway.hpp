@@ -57,9 +57,15 @@ namespace slacksched {
 using ShardSchedulerFactory =
     std::function<std::unique_ptr<OnlineScheduler>(int shard)>;
 
-/// Invoked by shard consumer threads for every rendered, legal decision
-/// (see GatewayConfig::on_decision). Calls arrive in decision order per
-/// shard, from that shard's consumer thread. `route_ctx` is the opaque
+/// Invoked for every rendered, legal decision (see
+/// GatewayConfig::on_decision). Calls for one shard come from the shard's
+/// consumer thread, or from the submitting thread for a run-to-completion
+/// job (SubmitHandoff::kRunToCompletion); never from two at once for one
+/// shard, always in decision order. A run-to-completion call runs inside
+/// that thread's submit_batch(), so the callback must not submit to the
+/// gateway from it: the nested call would overwrite the submitting
+/// thread's per-call scratch mid-pass, and the gateway refuses it with a
+/// PreconditionError, which fails the deciding shard. `route_ctx` is the opaque
 /// per-job token the producer passed to submit()/submit_batch() (0 by
 /// default): the network front end stores a reply-slot token there, so a
 /// decision routes straight to the submission that asked for it without
@@ -146,11 +152,13 @@ struct GatewayConfig {
   std::chrono::milliseconds metrics_period{1000};
 
   // --- integration hooks (see net/admission_server.hpp) ---
-  /// Per-decision notification: invoked by the deciding shard's consumer
-  /// thread after the decision is validated, counted and traced, in
-  /// decision order within the shard. The network front end uses this to
-  /// answer each SUBMIT frame; leave empty when unused. The callback runs
-  /// on the decision hot path — it must be fast and must not throw.
+  /// Per-decision notification, invoked after the decision is validated,
+  /// counted and traced: on the shard's consumer thread, or on the
+  /// submitting thread for a run-to-completion job; never on two at once
+  /// for one shard, always in decision order (see GatewayDecisionCallback).
+  /// The network front end uses this to answer each SUBMIT frame; leave
+  /// empty when unused. The callback runs on the decision hot path — it
+  /// must be fast, must not throw, and must not submit to the gateway.
   GatewayDecisionCallback on_decision;
 
   /// Checks the configuration for values that would otherwise misbehave
@@ -160,6 +168,26 @@ struct GatewayConfig {
   /// PreconditionError listing every message, and AdmissionServer refuses
   /// to start on the same list.
   [[nodiscard]] std::vector<std::string> validate() const;
+};
+
+/// How submit_batch() hands a shard's group to the shard.
+enum class SubmitHandoff : std::uint8_t {
+  /// Push every group onto the shard's ring; the consumer thread decides.
+  /// The call never runs the scheduler, so it never waits on it
+  /// (Gateway.DefaultHandoffNeverRunsTheSchedulerOnTheSubmittingThread).
+  kRing,
+  /// A call that carries exactly one job offers it to its shard's calling
+  /// thread first (Shard::try_enqueue_batch, run_to_completion): when the
+  /// shard is idle the calling thread decides it on the spot and
+  /// on_decision fires before submit_batch() returns. Bigger calls, and a
+  /// refused offer, take the ring. Meant for an event loop, whose single
+  /// job per read pass is the low-load signal. It is opt-in because it
+  /// makes the call as slow as the scheduler: with every one-job call
+  /// run-to-completion, bench/elastic_pressure (whose gated scheduler
+  /// waits for a gate the producer opens after submitting) hangs, and
+  /// Gateway.QueueFullIsExplicitNeverSilent (a 200 us scheduler that a
+  /// producer must outrun) never sees a full queue.
+  kRunToCompletion,
 };
 
 /// Per-batch ingest outcome (counts; pass `statuses` for per-job detail).
@@ -227,10 +255,12 @@ class AdmissionGateway {
   /// resized to jobs.size() and filled with the per-job outcome.
   /// `route_ctxs` carries one opaque token per job (route_ctxs[i] travels
   /// with jobs[i] and is echoed to on_decision); empty means 0 for every
-  /// job.
+  /// job. `handoff` picks how each shard's group reaches the shard; a job
+  /// decided run-to-completion reports kEnqueued like a queued one.
   BatchSubmitResult submit_batch(
       std::span<const Job> jobs, std::vector<Outcome>* statuses = nullptr,
-      std::span<const std::uint64_t> route_ctxs = {});
+      std::span<const std::uint64_t> route_ctxs = {},
+      SubmitHandoff handoff = SubmitHandoff::kRing);
 
   /// Lock-free live counters (callable at any time, from any thread); the
   /// queue_depth gauges are read from the shard rings.
@@ -289,7 +319,8 @@ class AdmissionGateway {
   /// The one submission path behind submit() and submit_batch(): writes
   /// jobs[i]'s outcome to outcomes[i] and returns the counts.
   BatchSubmitResult submit_jobs(std::span<const Job> jobs, Outcome* outcomes,
-                                std::span<const std::uint64_t> route_ctxs);
+                                std::span<const std::uint64_t> route_ctxs,
+                                SubmitHandoff handoff);
 
   GatewayConfig config_;
   MetricsRegistry metrics_;

@@ -71,8 +71,13 @@ constexpr Field<std::size_t> kCountFields[] = {
     {"failovers_total",
      "Jobs rerouted away from an unavailable home shard.", "counter",
      &ShardMetricsSnapshot::failovers},
-    {"batches_total", "Consumer wake-ups that found work.", "counter",
-     &ShardMetricsSnapshot::batches},
+    {"batches_total",
+     "Batches decided: consumer wake-ups that found work, plus one per "
+     "run-to-completion job.",
+     "counter", &ShardMetricsSnapshot::batches},
+    {"inline_decisions_total",
+     "Jobs decided run-to-completion on the submitting thread.", "counter",
+     &ShardMetricsSnapshot::inline_decisions},
     {"recoveries_total", "Completed WAL replays / shard restarts.",
      "counter", &ShardMetricsSnapshot::recoveries},
     {"wal_records_replayed_total",
@@ -202,6 +207,21 @@ std::string render_prometheus(const ExporterInput& input,
       for (std::size_t s = 0; s < snap.shards.size(); ++s) {
         family.sample(shard_label(s), fmt(snap.shards[s].*field.member));
       }
+    }
+  }
+
+  {
+    // Cross-thread wake-ups by site. A decision taken through the ring
+    // costs one shard futex wake when the consumer was parked, and over TCP
+    // one event-loop eventfd write when the loop was waiting; a
+    // run-to-completion decision costs neither.
+    FamilyWriter family(os, options.prefix, "wakeups_total",
+                        "Cross-thread wake-ups issued, by site.", "counter");
+    family.sample("site=\"shard_futex\"",
+                  std::to_string(snap.total.futex_wakeups));
+    if (input.loop_eventfd_wakeups.has_value()) {
+      family.sample("site=\"loop_eventfd\"",
+                    std::to_string(*input.loop_eventfd_wakeups));
     }
   }
 

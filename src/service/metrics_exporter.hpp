@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,10 @@ struct ExporterInput {
   std::vector<ShardHealthStatus> health;
   /// Per-shard trace-ring drop counters (empty when tracing is off).
   std::vector<std::uint64_t> trace_dropped;
+  /// Event-loop eventfd writes that carried decisions or handed off
+  /// connections, rendered as wakeups_total{site="loop_eventfd"}; set by
+  /// the network front end, disengaged for an in-process gateway.
+  std::optional<std::uint64_t> loop_eventfd_wakeups;
 };
 
 /// Renders one complete exposition page.

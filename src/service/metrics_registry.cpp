@@ -10,8 +10,9 @@ namespace slacksched {
 
 namespace {
 
-/// Relaxed single-writer accumulate: only the shard's consumer thread
-/// read-modify-writes these doubles, so load+store (no CAS) is race-free.
+/// Relaxed single-writer accumulate: only the shard's baton holder
+/// read-modify-writes these doubles, and the baton orders one holder's
+/// writes before the next's, so load+store (no CAS) is race-free.
 void accumulate(std::atomic<double>& target, double delta) {
   target.store(target.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
@@ -90,6 +91,11 @@ void MetricsRegistry::on_class_shed(int shard, Criticality criticality) {
 
 void MetricsRegistry::on_batch(int shard) {
   slots_[static_cast<std::size_t>(shard)].batches.fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+void MetricsRegistry::on_inline_decision(int shard) {
+  slots_[static_cast<std::size_t>(shard)].inline_decisions.fetch_add(
       1, std::memory_order_relaxed);
 }
 
@@ -187,6 +193,8 @@ MetricsSnapshot MetricsRegistry::snapshot(
     row.peak_queue_depth =
         slot.peak_queue_depth.load(std::memory_order_relaxed);
     row.batches = slot.batches.load(std::memory_order_relaxed);
+    row.inline_decisions =
+        slot.inline_decisions.load(std::memory_order_relaxed);
     row.recoveries = slot.recoveries.load(std::memory_order_relaxed);
     row.wal_records_replayed =
         slot.wal_records_replayed.load(std::memory_order_relaxed);
@@ -220,6 +228,7 @@ MetricsSnapshot MetricsRegistry::snapshot(
     snap.total.peak_queue_depth =
         std::max(snap.total.peak_queue_depth, row.peak_queue_depth);
     snap.total.batches += row.batches;
+    snap.total.inline_decisions += row.inline_decisions;
     snap.total.recoveries += row.recoveries;
     snap.total.wal_records_replayed += row.wal_records_replayed;
     snap.total.wal_truncations += row.wal_truncations;

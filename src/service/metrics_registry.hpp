@@ -1,7 +1,8 @@
 // Live serving-side counters for the admission gateway: what a provider's
 // dashboard would watch while the system admits traffic. Writers are the
 // gateway's producer threads (enqueue/backpressure counters) and each
-// shard's consumer thread (decision counters); every field is an atomic,
+// shard's baton holder (decision counters: its consumer thread, or a
+// producer deciding run-to-completion); every field is an atomic,
 // so snapshot() is a lock-free read that never stalls the ingest path.
 // Queue depth is not counted here: the shard rings own it (see
 // MetricsRegistry::snapshot and ShardMetricsSnapshot::queue_depth).
@@ -50,7 +51,15 @@ struct ShardMetricsSnapshot {
   /// High-water mark of the ring's depth, sampled after each successful
   /// push; like the gauge it never exceeds the queue capacity.
   std::size_t peak_queue_depth = 0;
-  std::size_t batches = 0;           ///< consumer wake-ups that found work
+  /// Batches decided: consumer wake-ups that found work, plus one per
+  /// run-to-completion job (a batch of one).
+  std::size_t batches = 0;
+  /// Jobs decided run-to-completion on the submitting thread (see
+  /// Shard::try_enqueue_batch) instead of through the ring.
+  std::size_t inline_decisions = 0;
+  /// FUTEX_WAKEs producers issued to the shard's parked consumer, read
+  /// from the shard's ring when the snapshot is taken (like queue_depth).
+  std::size_t futex_wakeups = 0;
 
   // --- fault-tolerance counters (service/supervisor.hpp) ---
   std::size_t recoveries = 0;            ///< WAL replays / restarts completed
@@ -114,8 +123,11 @@ class MetricsRegistry {
   /// Records one job shed by the class-aware policy (kRejectedCriticality).
   void on_class_shed(int shard, Criticality criticality);
 
-  // --- writer side (the shard's single consumer thread) ---
+  // --- writer side (the shard's baton holder: its consumer thread, or a
+  // producer deciding run-to-completion; one at a time) ---
   void on_batch(int shard);
+  /// Records one job decided run-to-completion by its producer.
+  void on_inline_decision(int shard);
   /// Records one rendered decision. `latency_seconds` is queue-entry to
   /// decision-rendered wall time; `criticality` attributes the decision to
   /// its class family. Returns the latency bin the decision landed in so
@@ -167,13 +179,15 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> backpressure_rejected{0};
     std::atomic<std::uint64_t> batches{0};
+    std::atomic<std::uint64_t> inline_decisions{0};
     std::atomic<std::uint64_t> recoveries{0};
     std::atomic<std::uint64_t> wal_records_replayed{0};
     std::atomic<std::uint64_t> wal_truncations{0};
     std::atomic<std::uint64_t> failovers{0};
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
-    // Single-writer (the shard consumer): plain load+store suffices.
+    // Single-writer (the baton holder; the baton orders successive
+    // holders): plain load+store suffices.
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};
     std::atomic<double> latency_sum{0.0};

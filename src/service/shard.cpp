@@ -56,6 +56,7 @@ Shard::~Shard() {
 void Shard::start() {
   SLACKSCHED_EXPECTS(!started_);
   started_ = true;
+  std::lock_guard baton(baton_);
   spawn(/*is_restart=*/false);
 }
 
@@ -149,11 +150,20 @@ void Shard::spawn(bool is_restart) {
 Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     const Job* jobs, const std::uint32_t* indices, std::size_t count,
     Clock::time_point now, const std::int16_t* homes,
-    std::span<const std::uint64_t> route_ctxs) {
+    std::span<const std::uint64_t> route_ctxs, bool run_to_completion) {
   BatchEnqueueResult result;
-  // The ingest-drop fault refuses this whole push attempt as a full queue.
+  // The ingest-drop fault refuses this whole push attempt as a full queue,
+  // a run-to-completion offer included.
   if (SLACKSCHED_FAULT_FIRES(config_.faults, FaultSite::kEnqueue, index_)) {
     metrics_.on_backpressure(index_, count);
+    return result;
+  }
+  if (run_to_completion && count == 1 &&
+      decide_inline(Task{jobs[indices[0]], now,
+                         homes != nullptr ? homes[0]
+                                          : static_cast<std::int16_t>(index_),
+                         route_ctxs.empty() ? 0 : route_ctxs[indices[0]]})) {
+    result.taken = 1;
     return result;
   }
   // Tasks are constructed directly in their claimed ring cells: the batch
@@ -203,6 +213,7 @@ bool Shard::restart() {
   }
   if (worker_.joinable()) worker_.join();
   joined_ = false;
+  std::lock_guard baton(baton_);
   queue_.reopen();  // buffered jobs survive and feed the new worker
   try {
     spawn(/*is_restart=*/true);
@@ -248,6 +259,30 @@ void Shard::set_error(std::string message) {
   last_error_ = std::move(message);
 }
 
+bool Shard::decide_inline(const Task& task) {
+  if (!config_.wal_path.empty()) return false;
+  std::unique_lock baton(baton_, std::try_to_lock);
+  // The ring is popped only under the baton, so an empty ring seen here
+  // means no earlier job of any producer is still undecided: deciding now
+  // keeps every producer's FIFO order.
+  if (!baton.owns_lock() || queue_.size() != 0 || queue_.closed() ||
+      worker_failed() || worker_exited()) {
+    return false;
+  }
+  metrics_.on_enqueued(index_, 1, 0);
+  metrics_.on_class_enqueued(index_, task.job.criticality);
+  metrics_.on_inline_decision(index_);
+  try {
+    run_batch(&task, 1);
+  } catch (const std::exception& e) {
+    // Fail the shard as a crashing consumer would; the parked consumer
+    // sees the flag on its next wake and exits.
+    set_error(e.what());
+    worker_failed_.store(true, std::memory_order_release);
+  }
+  return true;
+}
+
 void Shard::worker_loop() {
   // One binding decision per job in FIFO (= submission) order, through the
   // engine's StreamingRunner. Any exception — injected fault, WAL I/O
@@ -263,30 +298,24 @@ void Shard::worker_loop() {
     Task* batch = batch_arena_.allocate<Task>(config_.batch_size);
     while (true) {
       heartbeat_.fetch_add(1, std::memory_order_relaxed);
-      const PopOutcome popped =
-          queue_.pop_batch_for(batch, config_.batch_size, config_.pop_timeout);
-      if (popped.count == 0) {
-        if (popped.closed) break;  // closed and drained
-        continue;                  // idle wake: heartbeat already advanced
+      // A run-to-completion decide failed the shard: stop, as if this
+      // thread had thrown.
+      if (worker_failed()) break;
+      // Park without the baton, so a producer can decide run-to-completion
+      // meanwhile; an idle wake only beats the heartbeat and never takes
+      // the baton. Pop and decide only while holding it.
+      if (!queue_.wait_for(config_.pop_timeout)) continue;
+      std::lock_guard baton(baton_);
+      if (worker_failed()) break;
+      const PopOutcome popped = queue_.try_pop_batch(batch, config_.batch_size);
+      if (popped.count > 0) {
+        run_batch(batch, popped.count);
+      } else if (popped.closed) {  // closed and drained
+        result_ = runner_->finish();
+        if (wal_) wal_->close();
+        break;
       }
-      metrics_.on_batch(index_);
-      // Crash after the pop, before any decision: the popped jobs are lost
-      // undecided (never accepted, so nothing durable is owed for them).
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
-                                   index_);
-      for (std::size_t i = 0; i < popped.count; ++i) {
-        process(batch[i]);
-        heartbeat_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (wal_) wal_->sync_batch();
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
-                                   index_);
-      // Elastic control: one observation + at most one applied resize per
-      // consumed batch, at a clean batch boundary (nothing mid-decision).
-      run_capacity_control();
     }
-    result_ = runner_->finish();
-    if (wal_) wal_->close();
   } catch (const std::exception& e) {
     set_error(e.what());
     worker_failed_.store(true, std::memory_order_release);
@@ -294,15 +323,32 @@ void Shard::worker_loop() {
   worker_exited_.store(true, std::memory_order_release);
 }
 
+void Shard::run_batch(const Task* batch, std::size_t count) {
+  metrics_.on_batch(index_);
+  // Crash after the pop, before any decision: the popped jobs are lost
+  // undecided (never accepted, so nothing durable is owed for them).
+  SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue, index_);
+  for (std::size_t i = 0; i < count; ++i) {
+    process(batch[i]);
+    heartbeat_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (wal_) wal_->sync_batch();
+  SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
+                               index_);
+  // Elastic control: one observation + at most one applied resize per
+  // batch, at a clean batch boundary (nothing mid-decision).
+  run_capacity_control();
+}
+
 void Shard::run_capacity_control() {
   if (!controller_.has_value()) return;
 
-  // Resize bookkeeping is apply-then-log, uniformly: this thread is the
-  // only mutator, so file order equals operation order, and a crash between
-  // the two wipes the in-memory half — replay then reproduces the exact
-  // pre-resize pool, on which no commitment can depend yet (a retiring
-  // machine accepts nothing; a grown machine's commitments are themselves
-  // logged after the grow record).
+  // Resize bookkeeping is apply-then-log, uniformly: the baton holder is
+  // the only mutator, so file order equals operation order, and a crash
+  // between the two wipes the in-memory half — replay then reproduces the
+  // exact pre-resize pool, on which no commitment can depend yet (a
+  // retiring machine accepts nothing; a grown machine's commitments are
+  // themselves logged after the grow record).
 
   // 1. Finish an in-flight retirement once its machine has drained. The
   // commitment guarantee holds by construction: every allocation on the

@@ -8,6 +8,13 @@
 /// recording disabled the consumer loop accumulates metrics reserve-free
 /// and allocation-free outside the committed schedule.
 ///
+/// One mutator at a time: whoever holds the shard's baton (a mutex) is the
+/// only thread touching the scheduler, the runner and the consumer-side
+/// state. The consumer thread parks without it and takes it for each batch
+/// it pops; a producer may take it instead, through a run-to-completion
+/// try_enqueue_batch(), to decide one job on its own thread when the shard
+/// is idle, so the decision costs no cross-thread wake-up.
+///
 /// Crash safety (optional, enabled by ShardConfig::wal_path): every
 /// accepted commitment is appended to a per-shard commit log *before* it is
 /// applied in memory, the worker publishes a heartbeat the supervisor
@@ -84,10 +91,12 @@ struct ShardConfig {
   /// consumer records one TraceEvent per rendered decision; recording is
   /// drop-on-full and never blocks the decision path.
   TraceRing* trace = nullptr;
-  /// Optional per-decision notification, invoked by the consumer thread
-  /// after each rendered, legal decision has been validated, counted and
-  /// traced — in decision (FIFO) order. Runs on the decision hot path:
-  /// must be fast and must not throw.
+  /// Optional per-decision notification, invoked after each rendered, legal
+  /// decision has been validated, counted and traced. It runs on the
+  /// shard's consumer thread, or on the submitting thread for a
+  /// run-to-completion job (try_enqueue_batch); never on two at once for
+  /// one shard, always in decision (FIFO) order. Runs on the decision hot
+  /// path: must be fast and must not throw.
   ShardDecisionCallback on_decision;
   /// Optional elastic machine pool (policy/capacity_controller.hpp). When
   /// set and the shard's scheduler supports elastic capacity, the consumer
@@ -137,10 +146,26 @@ class Shard {
   /// trace events record. `route_ctxs` is empty (every job's context is 0)
   /// or indexed like `jobs`: job jobs[indices[i]] travels with
   /// route_ctxs[indices[i]] and is echoed to on_decision.
+  ///
+  /// With `run_to_completion` set and `count == 1`, the job is first
+  /// offered to the calling thread: when the shard is idle it is decided
+  /// on the spot, exactly as the consumer would decide a batch of one
+  /// (same process/publish path, crash points and capacity control), so
+  /// on_decision fires before this returns, and it counts as taken. The
+  /// shard is idle when the baton is free (try_lock), the ring is empty
+  /// (claimed-but-unpublished cells count), the queue is open, the worker
+  /// is alive and there is no commit log — a WAL's sync_batch may fsync or
+  /// wait for a follower's ack, and a caller such as an event loop must
+  /// never block on disk or network. Otherwise the job takes the ring. An
+  /// exception while deciding fails the shard exactly as a crashing
+  /// consumer does (worker_failed(), last_error()) and never reaches the
+  /// caller; the job is then lost undecided, like a popped batch, and the
+  /// parked consumer exits on its next wake (within pop_timeout).
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, const std::int16_t* homes = nullptr,
-      std::span<const std::uint64_t> route_ctxs = {});
+      std::span<const std::uint64_t> route_ctxs = {},
+      bool run_to_completion = false);
 
   /// Closes the queue: producers start failing, the consumer drains the
   /// backlog and exits.
@@ -167,12 +192,16 @@ class Shard {
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
   [[nodiscard]] bool queue_closed() const { return queue_.closed(); }
+  /// FUTEX_WAKEs producers issued to this shard's parked consumer.
+  [[nodiscard]] std::uint64_t queue_wakeups() const {
+    return queue_.wakeups();
+  }
   [[nodiscard]] const OnlineScheduler& scheduler() const {
     return *scheduler_;
   }
 
   /// The machine currently draining for retirement (-1 when none).
-  /// Consumer-thread state exposed for tests; racy reads are benign.
+  /// Baton-holder state exposed for tests; racy reads are benign.
   [[nodiscard]] int retiring_machine() const { return retiring_machine_; }
 
   // --- supervision surface (service/supervisor.hpp) ---
@@ -207,8 +236,15 @@ class Shard {
   /// the worker thread. Throws when recovery fails.
   void spawn(bool is_restart);
   void worker_loop();
-  /// One turn of the elastic control loop (consumer thread, between
-  /// batches): finish a drained retirement, feed the controller one
+  /// The run-to-completion half of try_enqueue_batch: decides `task` on
+  /// the calling thread and returns true, or returns false having touched
+  /// nothing when the shard is not idle.
+  bool decide_inline(const Task& task);
+  /// The one batch routine, for a popped batch and for a run-to-completion
+  /// job alike; the caller holds the baton.
+  void run_batch(const Task* batch, std::size_t count);
+  /// One turn of the elastic control loop (baton holder, after each
+  /// batch): finish a drained retirement, feed the controller one
   /// observation, apply its grow/shrink decision, WAL the resize.
   void run_capacity_control();
   void process(const Task& task);
@@ -224,6 +260,10 @@ class Shard {
   SchedulerFactory factory_;
   MetricsRegistry& metrics_;
   BoundedMpscQueue<Task> queue_;
+  /// Held by the one thread mutating the shard's decision state: the
+  /// consumer for each popped batch, a producer for a run-to-completion
+  /// job, and start/restart while they rebuild it.
+  std::mutex baton_;
   /// Consumer-thread scratch: the popped Task batch is staged in this
   /// per-shard arena, whose block is reused across batches — the steady
   /// state of the consumer loop performs zero heap allocations. Pointers
@@ -236,7 +276,7 @@ class Shard {
   /// WAL header. Elastic resizes grow scheduler_->machines() past it, so
   /// every header check after recovery must use this, not the live count.
   int wal_initial_machines_ = 0;
-  /// Elastic control loop state; touched only by the consumer thread.
+  /// Elastic control loop state; touched only under the baton.
   std::optional<CapacityController> controller_;
   int retiring_machine_ = -1;  ///< machine mid-drain, -1 when none
   /// Latest release time fed to the engine — the simulated "now" frontier

@@ -3,7 +3,7 @@
 // TSan CI matrix runs against the queue: multi-producer close/drain races,
 // batch-claim wraparound at the smallest legal capacities, and the
 // close-racing-a-timed-wait drain contract. The retired mutex+condvar
-// queue (service/bounded_queue_reference.hpp) serves as the differential
+// queue (oracles/bounded_queue_reference.hpp) serves as the differential
 // oracle: identical operation sequences must produce identical return
 // values and identical delivered streams.
 
@@ -24,6 +24,37 @@
 
 namespace slacksched {
 namespace {
+
+constexpr std::chrono::seconds kLongWait{10};
+
+/// The consumer step a shard worker runs: wait at most `timeout` until the
+/// ring can make progress, then pop without blocking, appending up to
+/// `max_items` items to `out`. After a timeout the pop still takes one
+/// look, so a publication that raced the deadline is delivered, not
+/// reported as idle.
+template <typename T>
+PopOutcome wait_and_pop(BoundedMpscQueue<T>& q, std::vector<T>& out,
+                        std::size_t max_items,
+                        std::chrono::milliseconds timeout) {
+  (void)q.wait_for(timeout);
+  const std::size_t base = out.size();
+  out.resize(base + max_items);
+  const PopOutcome popped = q.try_pop_batch(out.data() + base, max_items);
+  out.resize(base + popped.count);
+  return popped;
+}
+
+/// Waits as long as it takes for an item or the closed-and-drained signal
+/// (a test's stand-in for an unbounded wait); returns the count popped, 0
+/// meaning closed-and-drained.
+template <typename T>
+std::size_t pop_batch(BoundedMpscQueue<T>& q, std::vector<T>& out,
+                      std::size_t max_items) {
+  while (true) {
+    const PopOutcome popped = wait_and_pop(q, out, max_items, kLongWait);
+    if (popped.count > 0 || popped.closed) return popped.count;
+  }
+}
 
 // ---------- construction ----------
 
@@ -55,9 +86,9 @@ TEST(BoundedQueue, PopBatchIsFifo) {
   BoundedMpscQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 3), 3u);
+  EXPECT_EQ(pop_batch(q, out, 3), 3u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.pop_batch(out, 10), 2u);
+  EXPECT_EQ(pop_batch(q, out, 10), 2u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -68,7 +99,7 @@ TEST(BoundedQueue, WrapsAroundTheRing) {
     EXPECT_TRUE(q.try_push(2 * round));
     EXPECT_TRUE(q.try_push(2 * round + 1));
     out.clear();
-    EXPECT_EQ(q.pop_batch(out, 4), 2u);
+    EXPECT_EQ(pop_batch(q, out, 4), 2u);
     EXPECT_EQ(out, (std::vector<int>{2 * round, 2 * round + 1}));
   }
 }
@@ -79,8 +110,8 @@ TEST(BoundedQueue, CloseDrainsThenSignalsExit) {
   q.close();
   EXPECT_FALSE(q.try_push(8));  // closed refuses new work
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 1u);  // backlog still drains
-  EXPECT_EQ(q.pop_batch(out, 4), 0u);  // then the exit signal
+  EXPECT_EQ(pop_batch(q, out, 4), 1u);  // backlog still drains
+  EXPECT_EQ(pop_batch(q, out, 4), 0u);  // then the exit signal
 }
 
 TEST(BoundedQueue, TryPushBatchTakesWhatFits) {
@@ -88,7 +119,7 @@ TEST(BoundedQueue, TryPushBatchTakesWhatFits) {
   std::vector<int> items{1, 2, 3, 4, 5, 6};
   EXPECT_EQ(q.try_push_batch(items.data(), items.size()), 4u);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 6), 4u);
+  EXPECT_EQ(pop_batch(q, out, 6), 4u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
 }
 
@@ -105,7 +136,7 @@ TEST(BoundedQueue, TryPushBatchWithConstructsInPlace) {
   EXPECT_EQ(taken, 5u);
   EXPECT_FALSE(closed);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8), 5u);
+  EXPECT_EQ(pop_batch(q, out, 8), 5u);
   EXPECT_EQ(out, (std::vector<int>{100, 101, 102, 103, 104}));
 
   q.close();
@@ -122,7 +153,7 @@ TEST(BoundedQueue, PopBlocksUntilPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ASSERT_TRUE(q.try_push(42));
   });
-  EXPECT_EQ(q.pop_batch(out, 1), 1u);  // waits for the producer
+  EXPECT_EQ(pop_batch(q, out, 1), 1u);  // waits for the producer
   EXPECT_EQ(out, (std::vector<int>{42}));
   producer.join();
 }
@@ -159,7 +190,7 @@ TEST(BoundedQueue, SizeNeverExceedsCapacityUnderConcurrentTraffic) {
   std::size_t consumed = 0;
   std::vector<int> out;
   while (consumed < std::size_t{kProducers} * kItemsPerProducer) {
-    consumed += q.pop_batch(out, 16);
+    consumed += pop_batch(q, out, 16);
   }
   for (std::thread& producer : producers) producer.join();
   done.store(true, std::memory_order_release);
@@ -168,61 +199,68 @@ TEST(BoundedQueue, SizeNeverExceedsCapacityUnderConcurrentTraffic) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-// ---------- timed pop, reopen ----------
+// ---------- timed wait, non-blocking pop, reopen ----------
 
-TEST(BoundedQueue, PopBatchForTimesOutOnAnIdleQueue) {
+TEST(BoundedQueue, WaitForTimesOutOnAnIdleQueue) {
   BoundedMpscQueue<int> q(4);
+  EXPECT_FALSE(q.wait_for(std::chrono::milliseconds(5)));  // timed out
   std::vector<int> out;
-  const PopOutcome idle = q.pop_batch_for(out, 4, std::chrono::milliseconds(5));
+  const PopOutcome idle = wait_and_pop(q, out, 4, std::chrono::milliseconds(5));
   EXPECT_EQ(idle.count, 0u);
   EXPECT_FALSE(idle.closed);  // timed out, not shut down
 
   ASSERT_TRUE(q.try_push(9));
-  const PopOutcome hit = q.pop_batch_for(out, 4, std::chrono::milliseconds(5));
+  EXPECT_TRUE(q.wait_for(std::chrono::milliseconds(5)));
+  const PopOutcome hit = wait_and_pop(q, out, 4, std::chrono::milliseconds(5));
   EXPECT_EQ(hit.count, 1u);
   EXPECT_FALSE(hit.closed);
   EXPECT_EQ(out, (std::vector<int>{9}));
 
   q.close();
-  const PopOutcome done = q.pop_batch_for(out, 4, std::chrono::milliseconds(5));
+  EXPECT_TRUE(q.wait_for(std::chrono::milliseconds(5)));  // the exit is ready
+  const PopOutcome done = wait_and_pop(q, out, 4, std::chrono::milliseconds(5));
   EXPECT_EQ(done.count, 0u);
   EXPECT_TRUE(done.closed);  // closed-and-drained: the exit signal
 }
 
-TEST(BoundedQueue, PopBatchForWakesWhenAProducerArrives) {
+TEST(BoundedQueue, WaitForWakesWhenAProducerArrives) {
   BoundedMpscQueue<int> q(2);
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ASSERT_TRUE(q.try_push(42));
   });
-  std::vector<int> out;
   // Generous timeout: the wait must end on the push, not the deadline.
-  const PopOutcome got = q.pop_batch_for(out, 1, std::chrono::seconds(10));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(q.wait_for(kLongWait));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kLongWait / 2);
+  std::vector<int> out;
+  const PopOutcome got = wait_and_pop(q, out, 1, std::chrono::seconds(0));
   EXPECT_EQ(got.count, 1u);
   EXPECT_EQ(out, (std::vector<int>{42}));
   producer.join();
 }
 
-TEST(BoundedQueue, RawPointerPopMatchesVectorOverload) {
-  // The arena-backed consumer loop uses the raw-pointer overload; it must
-  // deliver the same stream with the same outcome semantics.
+TEST(BoundedQueue, TryPopBatchDeliversTheBacklogBeforeTheClosedSignal) {
+  // The shard worker pops into its arena through the raw pointer, without
+  // waiting: a close leaves the backlog deliverable, and the closed signal
+  // comes only with the pop that finds the ring drained.
   BoundedMpscQueue<int> q(8);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
   int buffer[8] = {};
-  const PopOutcome first =
-      q.pop_batch_for(buffer, 4, std::chrono::milliseconds(5));
+  const PopOutcome empty = q.try_pop_batch(buffer, 8);
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_FALSE(empty.closed);  // nothing published yet, not shut down
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
+  const PopOutcome first = q.try_pop_batch(buffer, 4);
   EXPECT_EQ(first.count, 4u);
   EXPECT_FALSE(first.closed);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(buffer[i], i);
   q.close();
-  const PopOutcome rest =
-      q.pop_batch_for(buffer, 8, std::chrono::milliseconds(5));
+  const PopOutcome rest = q.try_pop_batch(buffer, 8);
   EXPECT_EQ(rest.count, 2u);
   EXPECT_FALSE(rest.closed);  // items delivered this call: not the signal
   EXPECT_EQ(buffer[0], 4);
   EXPECT_EQ(buffer[1], 5);
-  const PopOutcome done =
-      q.pop_batch_for(buffer, 8, std::chrono::milliseconds(5));
+  const PopOutcome done = q.try_pop_batch(buffer, 8);
   EXPECT_EQ(done.count, 0u);
   EXPECT_TRUE(done.closed);
 }
@@ -247,7 +285,7 @@ TEST(BoundedQueue, ReopenAcceptsNewWorkAndKeepsTheBacklog) {
   EXPECT_FALSE(q.closed());
   EXPECT_TRUE(q.try_push(2));  // accepted again
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 2u);
+  EXPECT_EQ(pop_batch(q, out, 4), 2u);
   EXPECT_EQ(out, (std::vector<int>{1, 2}));  // backlog survived the cycle
 }
 
@@ -264,7 +302,7 @@ TEST(BoundedQueue, CapacityOneWrapsThroughManyLaps) {
     EXPECT_TRUE(q.try_push(lap));
     EXPECT_FALSE(q.try_push(lap + 1000000));  // full at one item
     out.clear();
-    EXPECT_EQ(q.pop_batch(out, 4), 1u);
+    EXPECT_EQ(pop_batch(q, out, 4), 1u);
     EXPECT_EQ(out, (std::vector<int>{lap}));
   }
 }
@@ -286,7 +324,7 @@ TEST(BoundedQueue, CapacityOneConcurrentHandoff) {
   while (true) {
     batch.clear();
     const PopOutcome popped =
-        q.pop_batch_for(batch, 8, std::chrono::milliseconds(50));
+        wait_and_pop(q, batch, 8, std::chrono::milliseconds(50));
     delivered.insert(delivered.end(), batch.begin(), batch.end());
     if (popped.closed) break;
   }
@@ -320,7 +358,7 @@ TEST(BoundedQueue, CapacityTwoMultiProducerWraparound) {
   while (delivered.size() <
          static_cast<std::size_t>(kProducers) * kPerProducer) {
     batch.clear();
-    (void)q.pop_batch_for(batch, 2, std::chrono::milliseconds(50));
+    (void)wait_and_pop(q, batch, 2, std::chrono::milliseconds(50));
     delivered.insert(delivered.end(), batch.begin(), batch.end());
   }
   for (auto& t : producers) t.join();
@@ -374,7 +412,7 @@ TEST(BoundedQueue, CloseDrainTortureDeliversEveryAcceptedItemExactlyOnce) {
   while (true) {
     batch.clear();
     const PopOutcome popped =
-        q.pop_batch_for(batch, 32, std::chrono::milliseconds(2));
+        wait_and_pop(q, batch, 32, std::chrono::milliseconds(2));
     ++wakeups;
     delivered.insert(delivered.end(), batch.begin(), batch.end());
     if (popped.closed) break;
@@ -397,7 +435,7 @@ TEST(BoundedQueue, CloseDrainTortureDeliversEveryAcceptedItemExactlyOnce) {
 }
 
 TEST(BoundedQueue, CloseRacingTimedWaitReportsClosedOnlyAfterFullDrain) {
-  // The satellite contract: when close() races a pop_batch_for wait, the
+  // The satellite contract: when close() races a timed wait, the
   // consumer may time out, may deliver items, but may report closed only
   // once *every* accepted item — including ones whose claim won the race
   // against close() but published late — has been delivered. Repeat many
@@ -426,7 +464,7 @@ TEST(BoundedQueue, CloseRacingTimedWaitReportsClosedOnlyAfterFullDrain) {
     while (true) {
       batch.clear();
       const PopOutcome popped =
-          q.pop_batch_for(batch, 4, std::chrono::milliseconds(1));
+          wait_and_pop(q, batch, 4, std::chrono::milliseconds(1));
       delivered.insert(delivered.end(), batch.begin(), batch.end());
       if (popped.closed) {
         // Closed was reported: the ring must be fully drained *at this
@@ -482,8 +520,8 @@ void run_differential_stream(std::uint64_t seed) {
       case 2:
       case 3: {  // timed pop (the only pop that cannot deadlock when idle)
         const std::size_t max_items = 1 + rng.uniform_int(0, 5);
-        const PopOutcome r = ring.pop_batch_for(
-            ring_out, max_items, std::chrono::milliseconds(1));
+        const PopOutcome r = wait_and_pop(
+            ring, ring_out, max_items, std::chrono::milliseconds(1));
         const PopOutcome o = oracle.pop_batch_for(
             oracle_out, max_items, std::chrono::milliseconds(1));
         EXPECT_EQ(r.count, o.count) << "op " << op;
@@ -513,7 +551,7 @@ void run_differential_stream(std::uint64_t seed) {
   oracle.close();
   while (true) {
     const PopOutcome r =
-        ring.pop_batch_for(ring_out, 16, std::chrono::milliseconds(1));
+        wait_and_pop(ring, ring_out, 16, std::chrono::milliseconds(1));
     const PopOutcome o =
         oracle.pop_batch_for(oracle_out, 16, std::chrono::milliseconds(1));
     EXPECT_EQ(r.count, o.count);

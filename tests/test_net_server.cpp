@@ -35,6 +35,7 @@
 #include "models/model_factory.hpp"
 #include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
+#include "service/fault_injection.hpp"
 #include "sched/engine.hpp"
 #include "sched/online.hpp"
 #include "workload/generators.hpp"
@@ -1060,6 +1061,216 @@ TEST(NetServer, DeltaCommitmentAnswersEverySubmitOnceAndMatchesRunOnline) {
     EXPECT_EQ(accepted, expected_accepted);
     EXPECT_EQ(drained.accepted, expected_accepted.size());
   }
+}
+
+// ---------- run-to-completion admission ----------
+
+/// Checks `replies` (one per job of `engine`'s instance, in submission
+/// order) against the engine's decisions, bit for bit.
+void expect_replies_equal_engine(const RunResult& engine,
+                                 const std::vector<DecisionReply>& replies) {
+  ASSERT_EQ(replies.size(), engine.decisions.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const DecisionRecord& expected = engine.decisions[i];
+    const DecisionReply& got = replies[i];
+    EXPECT_EQ(got.job_id, expected.job.id) << "reply order broke at " << i;
+    ASSERT_TRUE(got.is_decision());
+    EXPECT_EQ(got.outcome == Outcome::kAccepted, expected.decision.accepted);
+    if (expected.decision.accepted) {
+      EXPECT_EQ(got.machine, expected.decision.machine);
+      EXPECT_EQ(got.start, expected.decision.start);  // bit-exact doubles
+    }
+  }
+}
+
+TEST(NetServer, LockStepClientDecidesRunToCompletionAndEqualsRunOnline) {
+  // One SUBMIT, then wait for its answer: every read pass carries one job
+  // for an idle shard, so the loop decides each one itself and the
+  // DECISION leaves in the wake-up that read the SUBMIT — no shard futex
+  // wake, no loop eventfd write.
+  const Instance instance = test_instance(300, 4242);
+  ThresholdScheduler reference(0.1, 4);
+  const RunResult engine = run_online(reference, instance, RunOptions{});
+
+  AdmissionServer server(loopback_config(instance.size()), [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+  std::vector<DecisionReply> replies;
+  for (const Job& job : instance.jobs()) {
+    replies.push_back(client.submit_wait(job));
+  }
+  expect_replies_equal_engine(engine, replies);
+
+  const std::string page = http_get_metrics("127.0.0.1", server.port());
+  EXPECT_EQ(metric_value(page, "slacksched_inline_decisions_total"),
+            static_cast<double>(instance.size()));
+  EXPECT_EQ(metric_value(page, "slacksched_batches_total"),
+            static_cast<double>(instance.size()));
+  EXPECT_EQ(
+      metric_value(page, "slacksched_wakeups_total{site=\"shard_futex\"}"),
+      0.0);
+  EXPECT_EQ(
+      metric_value(page, "slacksched_wakeups_total{site=\"loop_eventfd\"}"),
+      0.0);
+  EXPECT_EQ(client.drain().submitted, engine.metrics.submitted);
+}
+
+TEST(NetServer, PipelinedClientTakesTheRingAndEqualsRunOnline) {
+  // Every SUBMIT in one write: the server's read pass carries the whole
+  // stream for one shard, so the group takes the ring and the consumer
+  // thread decides it. The stream is still the engine's, bit for bit.
+  const Instance instance = test_instance(300, 4243);
+  ThresholdScheduler reference(0.1, 4);
+  const RunResult engine = run_online(reference, instance, RunOptions{});
+
+  AdmissionServer server(loopback_config(instance.size()), [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  RawConn conn(server.port());
+  std::vector<char> bytes;
+  std::uint64_t request_id = 1;
+  for (const Job& job : instance.jobs()) {
+    encode_submit(bytes, SubmitMsg{request_id++, job});
+  }
+  conn.send_bytes(bytes.data(), bytes.size());
+  std::vector<DecisionReply> replies;
+  for (std::size_t i = 0; i < instance.size(); ++i) {
+    const Frame frame = conn.read_frame();
+    ASSERT_EQ(frame.type, FrameType::kDecision);
+    DecisionMsg msg;
+    ASSERT_TRUE(parse_decision(frame, msg, nullptr));
+    EXPECT_EQ(msg.request_id, i + 1);
+    replies.push_back(DecisionReply{msg.request_id, msg.job_id, msg.outcome,
+                                    msg.machine, msg.start, 0});
+  }
+  expect_replies_equal_engine(engine, replies);
+
+  const MetricsSnapshot snap = server.gateway().metrics_snapshot();
+  EXPECT_EQ(snap.total.submitted, instance.size());
+  EXPECT_LT(snap.total.inline_decisions, instance.size() / 2)
+      << "a pipelined stream should take the ring";
+}
+
+TEST(NetServer, OnePassKeepsSubmitsAheadOfTheDrainBehindThem) {
+  // SUBMITs, a PING, more SUBMITs and a DRAIN in one write: the read pass
+  // collects the SUBMITs into one gateway call, but each non-SUBMIT frame
+  // first flushes what collected before it, so the DRAIN finds all five
+  // jobs in the gateway and every one of them gets its DECISION.
+  AdmissionServer server(loopback_config(16), [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  const Instance instance = test_instance(5, 808);
+  RawConn conn(server.port());
+  std::vector<char> bytes;
+  for (std::size_t i = 0; i < 3; ++i) {
+    encode_submit(bytes, SubmitMsg{i + 1, instance.jobs()[i]});
+  }
+  encode_ping(bytes, 55);
+  for (std::size_t i = 3; i < 5; ++i) {
+    encode_submit(bytes, SubmitMsg{i + 1, instance.jobs()[i]});
+  }
+  encode_drain(bytes);
+  conn.send_bytes(bytes.data(), bytes.size());
+  std::set<std::uint64_t> decided;
+  bool ponged = false;
+  while (true) {
+    const Frame frame = conn.read_frame();
+    if (frame.type == FrameType::kDrained) {
+      DrainedMsg drained;
+      ASSERT_TRUE(parse_drained(frame, drained, nullptr));
+      EXPECT_EQ(drained.submitted, 5u);
+      break;
+    }
+    if (frame.type == FrameType::kPong) {
+      ponged = true;
+      continue;
+    }
+    ASSERT_EQ(frame.type, FrameType::kDecision);
+    DecisionMsg msg;
+    ASSERT_TRUE(parse_decision(frame, msg, nullptr));
+    EXPECT_TRUE(decided.insert(msg.request_id).second);
+  }
+  EXPECT_TRUE(ponged);
+  EXPECT_EQ(decided, (std::set<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(NetServer, RunToCompletionFaultFailsTheShardNotTheLoop) {
+#if !(defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION)
+  GTEST_SKIP() << "fault injection is compiled out";
+#else
+  // The first SUBMIT meets an idle shard and is decided on the loop
+  // thread, where the dequeue crash point fires. The shard fails; the
+  // loop keeps serving, and every SUBMIT still gets exactly one answer:
+  // the lost job a REJECT closed at drain.
+  FaultPlan plan;
+  plan.add({FaultSite::kDequeue, 0, 1});
+  FaultInjector injector(plan);
+  AdmissionServerConfig config = loopback_config(64);
+  config.gateway.fault_injector = &injector;
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+  const Instance instance = test_instance(6, 99);
+  const std::uint64_t lost = client.submit(instance.jobs()[0]);
+  EXPECT_EQ(client.ping(77), 77u);  // the loop survived the fault
+  EXPECT_EQ(injector.hits(FaultSite::kDequeue, 0), 1u);
+  EXPECT_EQ(server.gateway().metrics_snapshot().total.inline_decisions, 1u);
+  for (std::size_t i = 1; i < instance.size(); ++i) {
+    (void)client.submit(instance.jobs()[i]);
+  }
+  const DrainedMsg drained = client.drain();
+  EXPECT_EQ(drained.submitted, 0u);
+  std::map<std::uint64_t, int> answers;
+  DecisionReply reply;
+  while (client.try_reply(reply)) {
+    ++answers[reply.request_id];
+    EXPECT_FALSE(reply.is_decision());
+    if (reply.request_id == lost) {
+      EXPECT_EQ(reply.outcome, Outcome::kRejectedClosed);
+    }
+  }
+  EXPECT_EQ(answers.size(), instance.size());
+  for (const auto& [request, count] : answers) {
+    EXPECT_EQ(count, 1) << "request " << request;
+  }
+  const GatewayResult result = server.shutdown();
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_NE(result.errors[0].find("shard 0"), std::string::npos);
+#endif
+}
+
+TEST(NetServer, RunToCompletionOfferConsultsTheIngestDropFault) {
+#if !(defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION)
+  GTEST_SKIP() << "fault injection is compiled out";
+#else
+  // The ingest-drop fault fires once per submission attempt, whichever
+  // way the job would reach the shard: a lock-step SUBMIT to an idle
+  // shard (the run-to-completion offer) is refused as queue-full when it
+  // fires, and the next SUBMIT is decided on the loop as usual.
+  FaultPlan plan;
+  plan.add({FaultSite::kEnqueue, 0, 1});
+  FaultInjector injector(plan);
+  AdmissionServerConfig config = loopback_config(64);
+  config.gateway.fault_injector = &injector;
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+  const Instance instance = test_instance(2, 7);
+  const DecisionReply dropped = client.submit_wait(instance.jobs()[0]);
+  EXPECT_FALSE(dropped.is_decision());
+  EXPECT_EQ(dropped.outcome, Outcome::kRejectedQueueFull);
+  const DecisionReply decided = client.submit_wait(instance.jobs()[1]);
+  EXPECT_TRUE(decided.is_decision());
+  EXPECT_EQ(injector.hits(FaultSite::kEnqueue, 0), 2u);
+  const MetricsSnapshot snap = server.gateway().metrics_snapshot();
+  EXPECT_EQ(snap.total.inline_decisions, 1u);
+  EXPECT_EQ(snap.total.backpressure_rejected, 1u);
+  EXPECT_EQ(client.drain().submitted, 1u);
+  EXPECT_TRUE(server.shutdown().errors.empty());
+#endif
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -603,6 +605,250 @@ TEST(Gateway, BatchRouteContextsTravelWithTheirOwnJobs) {
     EXPECT_EQ(ctx, contexts[static_cast<std::size_t>(id)]) << "job " << id;
   }
   EXPECT_EQ(zero, 3u);
+}
+
+// ---------- Gateway: run-to-completion hand-off ----------
+
+TEST(Gateway, RunToCompletionAndRingProducersNeverOverlapAndKeepTheirOrder) {
+  // Producer 1 submits one job per call run-to-completion; producer 2
+  // pushes small batches through the ring and pauses between them, so the
+  // shards go idle now and then. Each hook call checks that no other
+  // mutator of its shard is inside a hook at the same time, and records
+  // the producer's sequence number carried in route_ctx.
+  constexpr int kShards = 2;
+  constexpr std::uint64_t kPerProducer = 6000;
+  GatewayConfig config;
+  config.shards = kShards;
+  config.routing = RoutingPolicy::kHash;
+  config.queue_capacity = 4096;
+  config.record_decisions = false;
+  std::array<std::atomic<int>, kShards> inside{};
+  std::atomic<bool> overlap{false};
+  // Per shard, the contexts in decision order. The shard's baton orders
+  // its hook calls, so each vector has one writer at a time.
+  std::array<std::vector<std::uint64_t>, kShards> seen;
+  config.on_decision = [&](int shard, const Job& /*job*/,
+                           const Decision& /*decision*/, std::uint64_t ctx) {
+    const auto s = static_cast<std::size_t>(shard);
+    if (inside[s].fetch_add(1) != 0) overlap = true;
+    seen[s].push_back(ctx);
+    inside[s].fetch_sub(1);
+  };
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(4); });
+
+  // Context: producer in the high half, 1-based sequence in the low half.
+  auto ctx_of = [](std::uint64_t producer, std::uint64_t seq) {
+    return (producer << 32) | (seq + 1);
+  };
+  std::atomic<std::size_t> enqueued{0};
+  std::thread run_to_completion([&] {
+    for (std::uint64_t seq = 0; seq < kPerProducer; ++seq) {
+      const Job job = make_job(static_cast<JobId>(ctx_of(1, seq)), 0.0, 1.0,
+                               1e9);
+      const std::uint64_t ctx = ctx_of(1, seq);
+      enqueued += gateway
+                      .submit_batch({&job, 1}, nullptr, {&ctx, 1},
+                                    SubmitHandoff::kRunToCompletion)
+                      .enqueued;
+    }
+  });
+  std::thread ring([&] {
+    constexpr std::uint64_t kBurst = 16;
+    std::vector<Job> jobs;
+    std::vector<std::uint64_t> ctxs;
+    for (std::uint64_t seq = 0; seq < kPerProducer; seq += kBurst) {
+      jobs.clear();
+      ctxs.clear();
+      for (std::uint64_t k = seq; k < seq + kBurst; ++k) {
+        ctxs.push_back(ctx_of(2, k));
+        jobs.push_back(make_job(static_cast<JobId>(ctxs.back()), 0.0, 1.0,
+                                1e9));
+      }
+      enqueued += gateway.submit_batch(jobs, nullptr, ctxs).enqueued;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  run_to_completion.join();
+  ring.join();
+  const GatewayResult result = gateway.finish();
+
+  EXPECT_FALSE(overlap.load()) << "two mutators of one shard overlapped";
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.merged.submitted, enqueued.load());
+  EXPECT_EQ(result.merged.submitted, 2 * kPerProducer);
+  const ShardMetricsSnapshot& total = result.metrics.total;
+  EXPECT_GT(total.inline_decisions, 0u) << "no job ran to completion";
+  EXPECT_LT(total.inline_decisions, total.submitted) << "the ring was unused";
+  EXPECT_GE(total.batches, total.inline_decisions);
+  for (int s = 0; s < kShards; ++s) {
+    std::uint64_t last[3] = {0, 0, 0};
+    for (const std::uint64_t ctx : seen[static_cast<std::size_t>(s)]) {
+      const std::uint64_t producer = ctx >> 32;
+      ASSERT_TRUE(producer == 1 || producer == 2);
+      EXPECT_GT(ctx & 0xffffffffu, last[producer])
+          << "producer " << producer << " reordered on shard " << s;
+      last[producer] = ctx & 0xffffffffu;
+    }
+  }
+}
+
+TEST(Gateway, WalBackedGatewayNeverDecidesRunToCompletion) {
+  // sync_batch may fsync or wait for a follower's ack, which a caller
+  // such as an event loop must never do: a shard with a commit log
+  // refuses every run-to-completion offer, even when idle.
+  const std::string dir = ::testing::TempDir() + "slacksched_rtc_wal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  GatewayConfig config;
+  config.shards = 1;
+  config.wal_dir = dir;
+  config.wal_fsync = FsyncPolicy::kNever;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+  constexpr std::size_t kJobs = 50;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const Job job = make_job(static_cast<JobId>(i), 0.0, 1.0, 1e9);
+    const std::uint64_t ctx = 0;
+    EXPECT_EQ(gateway
+                  .submit_batch({&job, 1}, nullptr, {&ctx, 1},
+                                SubmitHandoff::kRunToCompletion)
+                  .enqueued,
+              1u);
+    // Let the shard go idle before the next offer.
+    while (gateway.metrics_snapshot().total.submitted < i + 1) {
+      std::this_thread::yield();
+    }
+  }
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.errors.empty());
+  EXPECT_EQ(result.merged.submitted, kJobs);
+  EXPECT_EQ(result.metrics.total.inline_decisions, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Gateway, SubmitFromARunToCompletionHookTripsTheReentryGuard) {
+  // A run-to-completion decision fires on_decision inside the submitting
+  // thread's own submit_batch pass; a submit from there would overwrite
+  // that thread's scratch mid-pass, so the gateway refuses it. The hook
+  // catches the refusal here, so the shard lives on.
+  GatewayConfig config;
+  config.shards = 1;
+  AdmissionGateway* self = nullptr;
+  std::atomic<int> refused{0};
+  std::atomic<int> nested_ok{0};
+  config.on_decision = [&](int, const Job& job, const Decision&,
+                           std::uint64_t ctx) {
+    if (ctx == 0) return;  // the nested submission's own decision
+    try {
+      if (self->submit(make_job(job.id + 1000, 0.0, 1.0, 1e9)) ==
+          Outcome::kEnqueued) {
+        ++nested_ok;
+      }
+    } catch (const PreconditionError&) {
+      ++refused;
+    }
+  };
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+  self = &gateway;
+  const Job job = make_job(1, 0.0, 1.0, 1e9);
+  const std::uint64_t ctx = 7;
+  std::vector<Outcome> statuses;
+  const BatchSubmitResult submitted = gateway.submit_batch(
+      {&job, 1}, &statuses, {&ctx, 1}, SubmitHandoff::kRunToCompletion);
+  EXPECT_EQ(submitted.enqueued, 1u);
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0], Outcome::kEnqueued);
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.errors.empty());
+  ASSERT_EQ(result.metrics.total.inline_decisions, 1u)
+      << "the idle shard should have decided run-to-completion";
+  EXPECT_EQ(refused.load(), 1);
+  EXPECT_EQ(nested_ok.load(), 0);
+  EXPECT_EQ(result.merged.submitted, 1u);
+}
+
+/// Greedy scheduler whose decisions wait for a gate on any thread but the
+/// submitting one, like an embedder's scheduler that waits on an outside
+/// resource; on the submitting thread it records the call and decides at
+/// once, so a broken contract shows as a flag instead of a hang.
+class GatedGreedy final : public OnlineScheduler {
+ public:
+  GatedGreedy(std::thread::id submitter, const std::atomic<bool>* gate,
+              std::atomic<int>* on_submitter)
+      : submitter_(submitter), gate_(gate), on_submitter_(on_submitter) {}
+
+  Decision on_arrival(const Job& job) override {
+    if (std::this_thread::get_id() == submitter_) {
+      ++*on_submitter_;
+    } else {
+      while (!gate_->load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    return inner_.on_arrival(job);
+  }
+  int machines() const override { return inner_.machines(); }
+  void reset() override { inner_.reset(); }
+  std::string name() const override { return "GatedGreedy"; }
+
+ private:
+  GreedyScheduler inner_{2};
+  std::thread::id submitter_;
+  const std::atomic<bool>* gate_;
+  std::atomic<int>* on_submitter_;
+};
+
+TEST(Gateway, DefaultHandoffNeverRunsTheSchedulerOnTheSubmittingThread) {
+  // submit() and the default submit_batch() are non-blocking: even a
+  // one-job call to an idle shard goes to the ring, so a scheduler that
+  // waits (here on a gate opened only after the producer is done) never
+  // holds up the producer. Only an explicit kRunToCompletion call decides
+  // on the calling thread.
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<bool> gate{false};
+  std::atomic<int> on_submitter{0};
+  GatewayConfig config;
+  config.shards = 1;
+  config.queue_capacity = 64;
+  AdmissionGateway gateway(config, [&](int) {
+    return std::make_unique<GatedGreedy>(self, &gate, &on_submitter);
+  });
+  for (JobId id = 0; id < 20; ++id) {
+    const Job job = make_job(id, 0.0, 1.0, 1e9);
+    if (id % 2 == 0) {
+      EXPECT_EQ(gateway.submit(job), Outcome::kEnqueued);
+    } else {
+      EXPECT_EQ(gateway.submit_batch({&job, 1}).enqueued, 1u);
+    }
+  }
+  gate.store(true, std::memory_order_release);
+  // Let the consumer decide the backlog.
+  while (gateway.metrics_snapshot().total.submitted < 20) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(on_submitter.load(), 0);
+  // The run-to-completion offer succeeds once the consumer has released
+  // the idle shard; until then it takes the ring like any other job.
+  std::uint64_t offered = 0;
+  while (on_submitter.load() == 0 && offered < 1000) {
+    const Job job = make_job(static_cast<JobId>(20 + offered), 0.0, 1.0, 1e9);
+    ++offered;
+    EXPECT_EQ(gateway.submit_batch({&job, 1}, nullptr, {},
+                                   SubmitHandoff::kRunToCompletion)
+                  .enqueued,
+              1u);
+    while (gateway.metrics_snapshot().total.submitted < 20 + offered) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(on_submitter.load(), 1);
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.merged.submitted, 20 + offered);
+  EXPECT_EQ(result.metrics.total.inline_decisions, 1u);
 }
 
 }  // namespace
